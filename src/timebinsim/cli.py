@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -217,7 +218,7 @@ def cmd_g2(args) -> int:
         calibrated = calibrate_background_for_g2(
             seq, params, args.calibrate_g2,
             n_trajectories=args.trajectories,
-            seed=_derived_seed(args.seed, 1))
+            seed=_derived_seed(args.seed, 1), window=args.window)
         params = replace(params, background_rate=calibrated)
     elif args.background is not None:
         params = replace(params, background_rate=args.background)
@@ -258,6 +259,26 @@ def cmd_simulate(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _checked(convert, ok, requirement: str):
+    """argparse type: ``convert`` the text, then require ``ok(value)``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a valid {convert.__name__}: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+    return parse
+
+
+_COUNT = _checked(int, lambda n: n >= 1, ">= 1")
+_SCAN_POINTS = _checked(int, lambda n: n >= 4, ">= 4")
+_UNIT_INTERVAL = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+_OPEN_UNIT_INTERVAL = _checked(float, lambda x: 0.0 < x < 1.0, "in (0, 1)")
+_POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
+
+
 def _param_table() -> str:
     lines = ["configuration keys (via --config FILE or --param NAME=VALUE):"]
     for name, (unit, desc) in PARAM_FIELDS.items():
@@ -283,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--param", action="append", metavar="NAME=VALUE",
                        help="override a single physical parameter (repeatable)")
         p.add_argument("--seed", type=int, default=0, help="master RNG seed")
-        p.add_argument("--trajectories", type=int, default=trajectories,
+        p.add_argument("--trajectories", type=_COUNT, default=trajectories,
                        help="number of simulated pulse-sequence windows")
         p.add_argument("--out", required=True, help="output directory")
 
@@ -298,17 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated radiative lifetimes in ps")
     p.add_argument("--mc-points", type=int, default=5,
                    help="Monte-Carlo check points across the sweep")
-    p.add_argument("--scan-points", type=int, default=12,
+    p.add_argument("--scan-points", type=_SCAN_POINTS, default=12,
                    help="interferometer setpoints per fringe scan")
     p.set_defaults(func=cmd_visibility_sweep)
 
     p = add_parser("phase-qubits",
                    "program qubit phases and read them back from fringes")
     add_common(p, trajectories=20_000)
-    p.add_argument("--p-gen", type=float, default=1.0,
+    p.add_argument("--p-gen", type=_UNIT_INTERVAL, default=1.0,
                    help="target generation probability")
     p.add_argument("--phases", help="comma-separated programmed phases in rad")
-    p.add_argument("--scan-points", type=int, default=12,
+    p.add_argument("--scan-points", type=_SCAN_POINTS, default=12,
                    help="interferometer setpoints per fringe scan")
     p.set_defaults(func=cmd_phase_qubits)
 
@@ -316,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, trajectories=100_000)
     p.add_argument("--locked-phase", type=float, default=None,
                    help="lock the inter-laser phase to this value (rad)")
-    p.add_argument("--fwhm", type=float, default=5.0,
+    p.add_argument("--fwhm", type=_POSITIVE, default=5.0,
                    help="recovery filter FWHM per pass (ueV)")
-    p.add_argument("--extinction", type=float, default=1e-3,
+    p.add_argument("--extinction", type=_UNIT_INTERVAL, default=1e-3,
                    help="filter out-of-band leakage floor")
     p.set_defaults(func=cmd_wdm)
 
@@ -326,17 +347,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, trajectories=200_000)
     p.add_argument("--background", type=float, default=None,
                    help="override the background rate per window")
-    p.add_argument("--calibrate-g2", type=float, default=None, metavar="TARGET",
+    p.add_argument("--calibrate-g2", type=_OPEN_UNIT_INTERVAL, default=None,
+                   metavar="TARGET",
                    help="bisect the background rate to hit this g2(0) first")
     p.add_argument("--scale", type=float, default=1.0,
                    help="drive intensity scale (1.0 = pi/2 + pi)")
-    p.add_argument("--window", type=int, default=5,
+    p.add_argument("--window", type=_COUNT, default=5,
                    help="maximum period lag for the histogram")
     p.set_defaults(func=cmd_g2)
 
     p = add_parser("simulate", "dump raw photon events")
     add_common(p, trajectories=10_000)
-    p.add_argument("--p-gen", type=float, default=1.0)
+    p.add_argument("--p-gen", type=_UNIT_INTERVAL, default=1.0)
     p.add_argument("--phase2", type=float, default=0.0,
                    help="phase of the late-bin pulse (rad)")
     p.add_argument("--binary", action="store_true",

@@ -102,7 +102,8 @@ class PhysicalParams:
         return n_bins * self.bin_separation_ps
 
     def violations(self) -> list[str]:
-        v = []
+        v = [f"{f.name}: must be finite" for f in fields(self)
+             if not math.isfinite(getattr(self, f.name))]
         for name in ("t1_radiative", "t2_spin", "bin_separation", "pulse_duration",
                      "cavity_linewidth", "spin_splitting"):
             if not getattr(self, name) > 0:
@@ -197,6 +198,9 @@ class ResonantPulse:
 class PulseSequence:
     """The drive program for one generation window.
 
+    A window always holds two time bins, each driven by exactly one pulse:
+    ``pulses[0]`` in bin 0 (early) and ``pulses[1]`` in bin 1 (late).  The
+    two pulses may differ in colour (wavelength multiplexing).
     ``random_interlaser_phase`` marks two-colour sequences whose lasers are
     free-running: the relative optical phase between the colours is then
     redrawn uniformly for every trajectory instead of being fixed by the
@@ -213,22 +217,14 @@ class PulseSequence:
 
     def violations(self) -> list[str]:
         v = []
-        if self.n_bins < 2:
-            v.append("n_bins: must be >= 2")
-        seen = set()
+        if self.n_bins != 2:
+            v.append("n_bins: must be 2")
+        bins = [p.bin_index for p in self.pulses]
+        if bins != [0, 1]:
+            v.append(f"pulses: need one pulse in bin 0 then one in bin 1, got bins {bins}")
         for p in self.pulses:
             v.extend(f"pulses[{p.bin_index}].{s}" for s in p.violations())
-            if p.bin_index >= self.n_bins:
-                v.append(f"pulses: bin_index {p.bin_index} outside n_bins={self.n_bins}")
-            key = (p.bin_index, p.laser_id)
-            if key in seen:
-                v.append(f"pulses: more than one pulse for bin {p.bin_index}, laser {p.laser_id.value}")
-            seen.add(key)
         return v
-
-    @property
-    def lasers(self) -> set[LaserId]:
-        return {p.laser_id for p in self.pulses}
 
     def to_dict(self) -> dict:
         return {

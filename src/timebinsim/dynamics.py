@@ -51,24 +51,18 @@ class DriveDerived:
     coherent_fraction: float  # coherent share of the emitted light
 
 
-def rotation_angle(intensity: float,
-                   reference_intensity: float = REFERENCE_INTENSITY,
-                   reference_angle: float = REFERENCE_ANGLE) -> float:
+def rotation_angle(intensity: float) -> float:
     """Pulse area from drive intensity: theta scales with sqrt(intensity)."""
     if intensity < 0:
         raise ValueError("intensity must be >= 0")
-    if reference_intensity <= 0 or reference_angle <= 0:
-        raise ValueError("reference intensity and angle must be > 0")
-    return reference_angle * math.sqrt(intensity / reference_intensity)
+    return REFERENCE_ANGLE * math.sqrt(intensity / REFERENCE_INTENSITY)
 
 
-def intensity_for_angle(theta: float,
-                        reference_intensity: float = REFERENCE_INTENSITY,
-                        reference_angle: float = REFERENCE_ANGLE) -> float:
+def intensity_for_angle(theta: float) -> float:
     """Inverse of rotation_angle."""
     if theta < 0:
         raise ValueError("theta must be >= 0")
-    return reference_intensity * (theta / reference_angle) ** 2
+    return REFERENCE_INTENSITY * (theta / REFERENCE_ANGLE) ** 2
 
 
 def excitation_probability(theta: float) -> float:
@@ -112,8 +106,7 @@ def sequence_drives(sequence: PulseSequence,
 def two_pulse_sequence(scale: float = 1.0,
                        phase2: float = 0.0,
                        laser: LaserId = LaserId.RED,
-                       detuning: float = 0.0,
-                       reset_before: bool = True) -> PulseSequence:
+                       detuning: float = 0.0) -> PulseSequence:
     """Standard pi/2 + pi drive pair (1:4 intensity ratio), optionally scaled.
 
     ``scale`` multiplies both intensities, preserving the ratio; ``phase2``
@@ -128,7 +121,6 @@ def two_pulse_sequence(scale: float = 1.0,
             ResonantPulse(bin_index=1, intensity=scale * 4.0 * REFERENCE_INTENSITY,
                           phase=phase2, laser_id=laser, detuning=detuning),
         ),
-        reset_before=reset_before,
     )
     validate(seq)
     return seq
@@ -146,40 +138,32 @@ def sequence_for_pgen(p_gen: float, phase2: float = 0.0,
                               detuning=detuning)
 
 
-def _two_bin_pulses(sequence: PulseSequence) -> tuple[ResonantPulse, ResonantPulse]:
-    if sequence.n_bins != 2:
-        raise ValueError("closed-form state generation handles exactly two bins")
-    by_bin = {p.bin_index: p for p in sequence.pulses}
-    if set(by_bin) != {0, 1} or len(sequence.pulses) != 2:
-        raise ValueError("sequence must drive bins 0 and 1 with one pulse each")
-    return by_bin[0], by_bin[1]
-
-
 def generate_state(sequence: PulseSequence, params: PhysicalParams) -> TimeBinState:
-    """Closed-form time-bin state produced by a single-colour two-pulse drive.
+    """Closed-form time-bin state produced by the two-pulse drive.
 
     The early bin is populated with probability p_hole * e1, the late bin
     with p_hole * (1 - e1) * e2 (the spin must have survived the first
     pulse).  The cross-bin coherence carries the spin dephasing factor
     exp(-dt/T2) and the geometric mean of the two pulses' coherent
     fractions; its argument is the phase difference between the pulses.
+    Two free-running lasers of different colour redraw their relative phase
+    every window, which averages the coherence to zero.
     """
     validate(sequence)
-    p0, p1 = _two_bin_pulses(sequence)
-    if p0.laser_id != p1.laser_id:
-        raise ValueError(
-            "mixed laser colours have no single-qubit closed form; "
-            "use wdm.wdm_state for two-colour sequences")
+    p0, p1 = sequence.pulses
     d0, d1 = derive_drive(p0, params), derive_drive(p1, params)
     h = params.p_hole_init
     p_early = h * d0.excitation
     p_late = h * (1.0 - d0.excitation) * d1.excitation
-    dephasing = math.exp(-params.bin_separation / params.t2_spin)
-    mag = math.sqrt(p_early * p_late) * dephasing * math.sqrt(
-        d0.coherent_fraction * d1.coherent_fraction)
-    arg = p0.phase - p1.phase
-    state = TimeBinState(p_early=p_early, p_late=p_late,
-                         coherence=mag * complex(math.cos(arg), math.sin(arg)))
+    if sequence.random_interlaser_phase and p0.laser_id is not p1.laser_id:
+        coherence = 0j
+    else:
+        dephasing = math.exp(-params.bin_separation / params.t2_spin)
+        mag = math.sqrt(p_early * p_late) * dephasing * math.sqrt(
+            d0.coherent_fraction * d1.coherent_fraction)
+        arg = p0.phase - p1.phase
+        coherence = mag * complex(math.cos(arg), math.sin(arg))
+    state = TimeBinState(p_early=p_early, p_late=p_late, coherence=coherence)
     validate(state)
     return state
 

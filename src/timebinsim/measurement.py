@@ -12,11 +12,12 @@ routed stochastically:
 * 1/4 -> the unmonitored port (lost).
 
 Only photons whose full emission amplitude stayed phase-locked to both
-driving pulses interfere; a coherent photon from pulse ``i`` passes that
-test with probability ``C_min / C_i`` (``C_min`` is the smallest coherent
-fraction in the pair), so the overlap fringe carries a visibility of
-``C_min`` times the spin-dephasing envelope.  Incoherent, background and
-flash photons never interfere.
+driving pulses interfere.  A sequence drives each of its two bins with one
+pulse, so a coherent photon's ``bin_index`` names the pulse ``i`` it came
+from; it passes the lock test with probability ``C_min / C_i`` (``C_min`` is
+the smaller of the two coherent fractions), so the overlap fringe carries a
+visibility of ``C_min`` times the spin-dephasing envelope.  Incoherent,
+background and flash photons never interfere.
 
 All randomness is drawn from substreams derived from the event stream's
 master seed, so every measurement is reproducible and independent
@@ -41,6 +42,9 @@ _TAG_HBT = 0x4842
 _TAG_FRINGE = 0x4652
 
 _TWO_PI = 2.0 * np.pi
+
+# Halvings of the background-rate bracket in calibrate_background_for_g2.
+_BISECTION_STEPS = 14
 
 
 def _bits(x: float) -> int:
@@ -110,7 +114,6 @@ class MichelsonResult:
     detections: EventStream
     slots: np.ndarray  # int8 per detection, SLOT_* above
     interferometer_phase: float
-    delay_ps: float
     n_input: int
 
     @property
@@ -131,68 +134,26 @@ class MichelsonResult:
         return time_histogram(self.detections, bin_width_ps=bin_width_ps)
 
 
-def _interference_setup(sequence: PulseSequence, params: PhysicalParams):
-    """Per-pulse (bin, detuning, phase, coherent fraction) and pairing info.
-
-    Returns None when the pulse program cannot produce overlap interference
-    (fewer or more than two occupied bins would need a different delay, and
-    a bin hosting several pulses has no single partner phase).
-    """
-    pulses = sequence.pulses
-    occupied = sorted({p.bin_index for p in pulses})
-    if len(occupied) != 2 or occupied[1] - occupied[0] != 1:
-        return None
-    by_bin: dict[int, list[int]] = {occupied[0]: [], occupied[1]: []}
-    for i, p in enumerate(pulses):
-        by_bin[p.bin_index].append(i)
-    if any(len(v) != 1 for v in by_bin.values()):
-        raise ValueError("interferometer needs exactly one pulse per occupied bin")
-    drives = sequence_drives(sequence, params)
-    c_min = min(d.coherent_fraction for d in drives)
-    info = {}
-    for b, (i,) in ((b, tuple(v)) for b, v in by_bin.items()):
-        j = by_bin[occupied[1] if b == occupied[0] else occupied[0]][0]
-        info[(b, pulses[i].detuning)] = (
-            drives[i].coherent_fraction,
-            pulses[j].phase,
-            b == occupied[0],  # early member of the pair?
-        )
-    return c_min, info
-
-
 def michelson(stream: EventStream, interferometer_phase: float = 0.0, *,
-              delay_ps: float | None = None, salt: int = 0) -> MichelsonResult:
+              salt: int = 0) -> MichelsonResult:
     """Send every event through the delay interferometer at a fixed phase."""
     params = stream.params
-    if delay_ps is None:
-        delay_ps = params.bin_separation_ps
+    delay_ps = params.bin_separation_ps
     n = len(stream)
     cols = stream.columns
     t = cols["timestamp_ps"]
-    bins = cols["bin_index"]
     phases = cols["phase_rad"]
-    energy = cols["energy_uev"]
-    origin = cols["origin"]
+    late_like = cols["bin_index"] >= 1
 
-    code_coh = CODE_BY_ORIGIN[Origin.COHERENT_RAMAN]
-    code_inc = CODE_BY_ORIGIN[Origin.INCOHERENT_DECAY]
-    photon = (origin == code_coh) | (origin == code_inc)
-    occupied = np.unique(bins[photon])
-    if occupied.size > 2:
-        raise ValueError("interferometer supports at most two occupied photon bins")
-
-    setup = _interference_setup(stream.sequence, params)
-
-    # Per-event interference: cross-bin phase for events that stay locked.
-    dphi = np.zeros(n)
-    thin_p = np.zeros(n)
-    if setup is not None:
-        c_min, info = setup
-        coherent = origin == code_coh
-        for (b, det), (c_own, partner_phase, is_early) in info.items():
-            sel = coherent & (bins == b) & (np.abs(energy - det) < 1e-9)
-            thin_p[sel] = c_min / c_own
-            dphi[sel] = (phases[sel] - partner_phase) if is_early else (partner_phase - phases[sel])
+    # Per-event interference: a coherent photon stays locked to both pulses
+    # with probability C_min / C_own and then carries the cross-bin phase,
+    # early-bin amplitude phase minus late-bin amplitude phase.
+    drives = sequence_drives(stream.sequence, params)
+    cfrac = np.array([d.coherent_fraction for d in drives])
+    early_phase, late_phase = (p.phase for p in stream.sequence.pulses)
+    coherent = cols["origin"] == CODE_BY_ORIGIN[Origin.COHERENT_RAMAN]
+    thin_p = np.where(coherent, cfrac.min() / cfrac[late_like.astype(np.intp)], 0.0)
+    dphi = np.where(late_like, early_phase - phases, phases - late_phase)
 
     rng = _substream(stream.seed, _TAG_MICHELSON, _bits(interferometer_phase), salt)
     u = rng.random((n, 4))
@@ -202,7 +163,6 @@ def michelson(stream: EventStream, interferometer_phase: float = 0.0, *,
     side = u[:, 0] < 0.25
     overlap = (u[:, 0] >= 0.25) & (u[:, 0] < 0.75)
 
-    late_like = bins >= 1
     side_time = t + delay_ps * late_like
     overlap_time = t + delay_ps * (~late_like)
 
@@ -226,7 +186,7 @@ def michelson(stream: EventStream, interferometer_phase: float = 0.0, *,
     detections.columns = {k: v[order] for k, v in detections.columns.items()}
     return MichelsonResult(detections=detections, slots=slot[order],
                            interferometer_phase=float(interferometer_phase),
-                           delay_ps=float(delay_ps), n_input=n)
+                           n_input=n)
 
 
 def michelson_expected(state: TimeBinState, interferometer_phase: float,
@@ -359,22 +319,17 @@ class HbtResult:
         write_csv(path, "lag_periods,g2", rows)
 
 
-def hbt_g2(stream: EventStream, period_ps: float | None = None, *,
-           window: int = 5, salt: int = 0) -> HbtResult:
+def hbt_g2(stream: EventStream, *, window: int = 5, salt: int = 0) -> HbtResult:
     """Normalised cross-correlation of a 50/50 detector split, per pulse period.
 
-    Counts are aggregated per period of length ``period_ps`` (default: the
-    sequence window, with trajectory windows laid end to end), split between
-    two detectors, and cross-correlated at integer period lags.  ``g2``
-    normalises by the mean side-peak coincidence rate over
-    ``1 <= |lag| <= window``.
+    Counts are aggregated per sequence window (trajectory windows laid end
+    to end), split between two detectors, and cross-correlated at integer
+    period lags.  ``g2`` normalises by the mean side-peak coincidence rate
+    over ``1 <= |lag| <= window``.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    if period_ps is None:
-        period_ps = stream.params.window_ps(stream.sequence.n_bins)
-    if period_ps <= 0:
-        raise ValueError("period_ps must be > 0")
+    period_ps = stream.params.window_ps(stream.sequence.n_bins)
     n_periods = stream.n_trajectories + 1  # decay tails may spill one period
     t = stream.columns["timestamp_ps"]
     traj = stream.columns["trajectory_id"]
@@ -422,7 +377,7 @@ def background_rate_for_g2(p_photon: float, target_g2: float) -> float:
 def calibrate_background_for_g2(sequence: PulseSequence, params: PhysicalParams,
                                 target_g2: float, *,
                                 n_trajectories: int = 200_000, seed: int = 0,
-                                window: int = 5, iterations: int = 14) -> float:
+                                window: int = 5) -> float:
     """Bisect the background rate until the simulated ``g2(0)`` hits the target.
 
     Each bisection step re-simulates ``n_trajectories`` windows with the
@@ -450,7 +405,7 @@ def calibrate_background_for_g2(sequence: PulseSequence, params: PhysicalParams,
             raise InsufficientStatisticsError(
                 "could not bracket the target g2 within the supported "
                 "background-rate range")
-    for _ in range(iterations):
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if measured(mid) < target_g2:
             lo = mid

@@ -2,10 +2,11 @@
 
 Each trajectory simulates one pulse-sequence window: reset (optionally
 emitting a Poisson number of non-resonant "flash" photons at the window
-start), spin preparation with probability ``p_hole_init``, then the resonant
-pulses in bin order.  A pulse fires only while the spin is still in |h> and
-no photon has been emitted yet, so a window can never yield more than one
-real (Raman) photon.  On emission the photon is tagged with its origin:
+start), spin preparation with probability ``p_hole_init``, then the early
+pulse and the late pulse.  The late pulse fires only while the spin is
+still in |h>, so a window can never yield more than one real (Raman)
+photon, and with one pulse per bin an event's ``bin_index`` names the pulse
+that emitted it.  On emission the photon is tagged with its origin:
 
 * ``CoherentRaman`` with the per-pulse probability 2G^2/(2G^2+Omega_i^2) -
   energy pinned to the pulse detuning, phase inherited from the laser,
@@ -17,9 +18,9 @@ energy) are overlaid per window with mean ``background_rate``.
 
 Determinism contract: every trajectory owns a fixed-width block of the
 Philox counter space derived from the master seed (trajectory ``i`` uses
-draws ``[i*K, (i+1)*K)``), so results are bit-identical for any chunk size
-or execution order, and any single trajectory can be reproduced in
-isolation via :func:`trajectory_rng`.
+draws ``[i*K, (i+1)*K)``, ``K = 72`` for every sequence), so results are
+bit-identical for any chunk size or execution order, and any single
+trajectory can be reproduced in isolation via :func:`trajectory_rng`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import ndtri
 from scipy.stats import poisson
 
-from .core import PhysicalParams, PulseSequence, validate
+from .core import (LaserId, PhysicalParams, PulseSequence, ValidationError,
+                   validate)
 from .dynamics import sequence_drives
 
 # Non-resonant reset flash sits far above the Raman photons in energy
@@ -134,21 +136,6 @@ class EventStream:
                            seed=self.seed, n_trajectories=self.n_trajectories,
                            columns=cols)
 
-    @classmethod
-    def from_events(cls, events, params, sequence, seed, n_trajectories) -> "EventStream":
-        cols = {
-            "trajectory_id": np.array([e.trajectory_id for e in events], np.int64),
-            "timestamp_ps": np.array([e.timestamp for e in events], np.float64),
-            "energy_uev": np.array([e.energy for e in events], np.float64),
-            "origin": np.array([CODE_BY_ORIGIN[e.origin] for e in events], np.uint8),
-            "phase_rad": np.array([e.optical_phase for e in events], np.float64),
-            "bin_index": np.array([e.bin_index for e in events], np.int32),
-        }
-        stream = cls(params=params, sequence=sequence, seed=seed,
-                     n_trajectories=n_trajectories, columns=cols)
-        stream._sort()
-        return stream
-
     def _sort(self) -> None:
         c = self.columns
         order = np.lexsort((c["timestamp_ps"], c["trajectory_id"]))
@@ -230,12 +217,21 @@ class EventStream:
     @classmethod
     def from_binary(cls, path) -> "EventStream":
         with open(path, "rb") as fh:
-            if fh.read(4) != cls._MAGIC:
-                raise ValueError("not an event-stream binary file")
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            meta = json.loads(fh.read(hlen).decode())
-            (n,) = struct.unpack("<Q", fh.read(8))
-            rec = np.frombuffer(fh.read(), dtype=cls._binary_dtype(), count=n)
+            data = fh.read()
+        if data[:4] != cls._MAGIC:
+            raise ValueError("not an event-stream binary file")
+        truncated = ValueError(f"truncated event-stream binary file: {path}")
+        dtype = cls._binary_dtype()
+        try:
+            (hlen,) = struct.unpack_from("<I", data, 4)
+            (n,) = struct.unpack_from("<Q", data, 8 + hlen)
+        except struct.error:
+            raise truncated from None
+        start = 16 + hlen
+        if len(data) - start < n * dtype.itemsize:
+            raise truncated
+        meta = json.loads(data[8:8 + hlen].decode())
+        rec = np.frombuffer(data, dtype=dtype, count=n, offset=start)
         cols = {name: np.ascontiguousarray(rec[name]).astype(_DTYPES[name])
                 for name in _COLUMNS}
         return cls(params=PhysicalParams.from_dict(meta["params"]),
@@ -246,64 +242,31 @@ class EventStream:
 
 
 # ---------------------------------------------------------------------------
-# Per-trajectory draw layout
+# Per-trajectory draw layout: slot indices into a trajectory's fixed block
+# of uniform draws.  The width is a multiple of 4 (one Philox counter tick).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Layout:
-    """Slot indices into a trajectory's fixed block of uniform draws."""
-
-    n_pulses: int
-    spin: int
-    emission0: int
-    origin: int
-    decay: int
-    jitter: int
-    kick: int
-    inc_phase: int
-    inc_energy: int
-    interlaser: int
-    flash_count: int
-    flash0: int
-    bg_count: int
-    bg_t0: int
-    bg_phase0: int
-    bg_energy0: int
-    width: int  # padded to a multiple of 4 (one Philox counter tick = 4 draws)
-
-
-def _layout(n_pulses: int) -> _Layout:
-    i = 0
-
-    def take(n=1):
-        nonlocal i
-        start = i
-        i += n
-        return start
-
-    spin = take()
-    emission0 = take(n_pulses)
-    origin = take()
-    decay = take()
-    jitter = take()
-    kick = take()
-    inc_phase = take()
-    inc_energy = take()
-    interlaser = take()
-    flash_count = take()
-    flash0 = take(_FLASH_CAP)
-    bg_count = take()
-    bg_t0 = take(_BG_CAP)
-    bg_phase0 = take(_BG_CAP)
-    bg_energy0 = take(_BG_CAP)
-    width = -(-i // 4) * 4
-    return _Layout(n_pulses, spin, emission0, origin, decay, jitter, kick,
-                   inc_phase, inc_energy, interlaser, flash_count, flash0,
-                   bg_count, bg_t0, bg_phase0, bg_energy0, width)
+_SPIN = 0
+_EMISSION = 1  # early pulse; the late pulse uses _EMISSION + 1
+_ORIGIN = 3
+_DECAY = 4
+_JITTER = 5
+_KICK = 6
+_INC_PHASE = 7
+_INC_ENERGY = 8
+_INTERLASER = 9
+_FLASH_COUNT = 10
+_FLASH0 = 11
+_BG_COUNT = _FLASH0 + _FLASH_CAP
+_BG_T0 = _BG_COUNT + 1
+_BG_PHASE0 = _BG_T0 + _BG_CAP
+_BG_ENERGY0 = _BG_PHASE0 + _BG_CAP
+_WIDTH = _BG_ENERGY0 + _BG_CAP  # 72
 
 
 def draws_per_trajectory(sequence: PulseSequence) -> int:
-    return _layout(len(sequence.pulses)).width
+    """Uniform draws each trajectory owns; the same for every sequence."""
+    return _WIDTH
 
 
 def trajectory_rng(sequence: PulseSequence, seed: int, trajectory_id: int) -> Generator:
@@ -328,7 +291,6 @@ def _safe_ndtri(u: np.ndarray) -> np.ndarray:
 def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
                     draws: np.ndarray, traj_start: int) -> dict[str, np.ndarray]:
     """Vectorised kernel: one row of uniform draws per trajectory."""
-    lay = _layout(len(sequence.pulses))
     m = draws.shape[0]
     traj_ids = np.arange(traj_start, traj_start + m, dtype=np.int64)
 
@@ -339,44 +301,37 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
 
     exc = np.array([d.excitation for d in drives])
     cfrac = np.array([d.coherent_fraction for d in drives])
-    bins = np.array([p.bin_index for p in pulses], np.int32)
     phases = np.array([p.phase for p in pulses])
     detunings = np.array([p.detuning for p in pulses])
-    is_blue = np.array([p.laser_id.value == "Blue" for p in pulses])
+    is_blue = np.array([p.laser_id is LaserId.BLUE for p in pulses])
 
-    # --- spin preparation and pulse-by-pulse emission ----------------------
-    in_hole = draws[:, lay.spin] < params.p_hole_init
-    emitted = np.zeros(m, bool)
-    pulse_idx = np.full(m, -1, np.int64)
-    for i in range(len(pulses)):
-        fires = in_hole & ~emitted & (draws[:, lay.emission0 + i] < exc[i])
-        pulse_idx[fires] = i
-        emitted |= fires
-
-    has = pulse_idx >= 0
-    idx = pulse_idx[has]
+    # --- spin preparation, early pulse, then late pulse ---------------------
+    in_hole = draws[:, _SPIN] < params.p_hole_init
+    early = in_hole & (draws[:, _EMISSION] < exc[0])
+    late = in_hole & ~early & (draws[:, _EMISSION + 1] < exc[1])
+    has = early | late
+    idx = late[has].astype(np.int64)  # pulse index == bin index
     n_ph = idx.size
 
-    coherent = draws[has, lay.origin] < cfrac[idx]
-    bin_of = bins[idx]
+    coherent = draws[has, _ORIGIN] < cfrac[idx]
 
-    t = (bin_of * dt_ps
-         - params.t1_radiative * np.log1p(-draws[has, lay.decay])
-         + params.detector_jitter * _safe_ndtri(draws[has, lay.jitter]))
+    t = (idx * dt_ps
+         - params.t1_radiative * np.log1p(-draws[has, _DECAY])
+         + params.detector_jitter * _safe_ndtri(draws[has, _JITTER]))
     t = np.maximum(t, 0.0)
 
     # Spin dephasing between the bins: one Gaussian phase kick per
-    # trajectory, riding on amplitudes driven in bin b with standard
-    # deviation sqrt(2*dt*b/T2), so the cross-bin ensemble coherence
-    # carries <exp(i*kick)> = exp(-dt*b/T2).
-    kick = _safe_ndtri(draws[has, lay.kick])
+    # trajectory, riding on the late-bin amplitude with standard deviation
+    # sqrt(2*dt/T2), so the cross-bin ensemble coherence carries
+    # <exp(i*kick)> = exp(-dt/T2).
+    kick = _safe_ndtri(draws[has, _KICK])
     kick_sigma_by_pulse = np.sqrt(
-        2.0 * params.bin_separation * np.maximum(bins, 0) / params.t2_spin)
+        2.0 * params.bin_separation * np.arange(2) / params.t2_spin)
 
     # Free-running two-colour drives settle on a new relative optical phase
     # every window; single-colour (or locked) drives keep zero offset.
     if sequence.random_interlaser_phase:
-        delta_rb = _TWO_PI * draws[has, lay.interlaser]
+        delta_rb = _TWO_PI * draws[has, _INTERLASER]
     else:
         delta_rb = np.zeros(n_ph)
 
@@ -387,21 +342,17 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
     # phase difference from the event plus the (known) pulse program alone.
     extras = kick[:, None] * kick_sigma_by_pulse[None, :] + delta_rb[:, None] * is_blue[None, :]
     own_extra = np.take_along_axis(extras, idx[:, None], axis=1)[:, 0]
-    if len(pulses) == 2:
-        partner = 1 - idx
-        partner_extra = np.take_along_axis(extras, partner[:, None], axis=1)[:, 0]
-    else:
-        partner_extra = np.zeros(n_ph)
+    partner_extra = np.take_along_axis(extras, 1 - idx[:, None], axis=1)[:, 0]
 
     phase = np.where(
         coherent,
         phases[idx] + own_extra - partner_extra,
-        _TWO_PI * draws[has, lay.inc_phase],
+        _TWO_PI * draws[has, _INC_PHASE],
     )
     energy = np.where(
         coherent,
         detunings[idx],
-        0.5 * params.cavity_linewidth * np.tan(np.pi * (draws[has, lay.inc_energy] - 0.5)),
+        0.5 * params.cavity_linewidth * np.tan(np.pi * (draws[has, _INC_ENERGY] - 0.5)),
     )
     origin = np.where(coherent, CODE_BY_ORIGIN[Origin.COHERENT_RAMAN],
                       CODE_BY_ORIGIN[Origin.INCOHERENT_DECAY]).astype(np.uint8)
@@ -412,13 +363,13 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
         "energy_uev": energy,
         "origin": origin,
         "phase_rad": np.mod(phase, _TWO_PI),
-        "bin_index": bin_of.astype(np.int32),
+        "bin_index": idx.astype(np.int32),
     }]
 
     # --- reset flash photons (window start) --------------------------------
     if sequence.reset_before and params.reset_flash_rate > 0:
         fcount = _truncated_poisson_counts(params.reset_flash_rate,
-                                           draws[:, lay.flash_count], _FLASH_CAP)
+                                           draws[:, _FLASH_COUNT], _FLASH_CAP)
         for j in range(int(fcount.max()) if fcount.size else 0):
             sel = fcount > j
             k = int(sel.sum())
@@ -427,23 +378,23 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
                 "timestamp_ps": np.zeros(k),
                 "energy_uev": np.full(k, RESET_FLASH_ENERGY_UEV),
                 "origin": np.full(k, CODE_BY_ORIGIN[Origin.RESET_FLASH], np.uint8),
-                "phase_rad": _TWO_PI * draws[sel, lay.flash0 + j],
+                "phase_rad": _TWO_PI * draws[sel, _FLASH0 + j],
                 "bin_index": np.zeros(k, np.int32),
             })
 
     # --- uncorrelated background --------------------------------------------
     if params.background_rate > 0:
         bcount = _truncated_poisson_counts(params.background_rate,
-                                           draws[:, lay.bg_count], _BG_CAP)
+                                           draws[:, _BG_COUNT], _BG_CAP)
         for j in range(int(bcount.max()) if bcount.size else 0):
             sel = bcount > j
-            bt = window * draws[sel, lay.bg_t0 + j]
+            bt = window * draws[sel, _BG_T0 + j]
             parts.append({
                 "trajectory_id": traj_ids[sel],
                 "timestamp_ps": bt,
-                "energy_uev": params.spin_splitting * (2.0 * draws[sel, lay.bg_energy0 + j] - 1.0),
+                "energy_uev": params.spin_splitting * (2.0 * draws[sel, _BG_ENERGY0 + j] - 1.0),
                 "origin": np.full(sel.sum(), CODE_BY_ORIGIN[Origin.BACKGROUND], np.uint8),
-                "phase_rad": _TWO_PI * draws[sel, lay.bg_phase0 + j],
+                "phase_rad": _TWO_PI * draws[sel, _BG_PHASE0 + j],
                 "bin_index": np.clip(bt / dt_ps, 0, sequence.n_bins - 1).astype(np.int32),
             })
 
@@ -484,10 +435,11 @@ def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
     validate(params)
     if n_trajectories < 0:
         raise ValueError("n_trajectories must be >= 0")
-    for name in ("background_rate", "reset_flash_rate"):
-        if getattr(params, name) > _MAX_RATE:
-            raise ValueError(f"{name} > {_MAX_RATE} exceeds the supported range "
-                             "(per-window Poisson draws are capped)")
+    capped = [f"{name}: must be <= {_MAX_RATE} (per-window Poisson draws are capped)"
+              for name in ("background_rate", "reset_flash_rate")
+              if getattr(params, name) > _MAX_RATE]
+    if capped:
+        raise ValidationError(capped)
 
     width = draws_per_trajectory(sequence)
     pieces: list[dict[str, np.ndarray]] = []

@@ -5,15 +5,16 @@ The interferometer's middle-slot counts versus phase follow
 phase-modulated scan gives the programmed qubit phase as
 ``phi0_ref - phi0_mod``; together with the bin occupations and the fringe
 visibility this fixes the Bloch vector of the emitted time-bin qubit.
+
+The fringe model is linear in ``(1, cos phi, sin phi)``, so the fit is a
+closed-form weighted linear least-squares solve with no iterative solver.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .core import BlochVector, TimeBinState, validate, write_csv
 from .measurement import FringeScan
@@ -31,24 +32,23 @@ class FringeFit:
     n_points: int
 
 
-def _fringe_model(phi, amplitude, visibility, phase0):
-    return amplitude * (1.0 + visibility * np.cos(phi + phase0))
-
-
 def _wrap(phi: float) -> float:
     w = float(np.mod(phi + np.pi, 2.0 * np.pi) - np.pi)
     return np.pi if w == -np.pi else w
 
 
-def fit_fringe(phases, counts=None, *, sigma=None) -> FringeFit:
+def fit_fringe(phases, counts=None) -> FringeFit:
     """Least-squares fit of ``A * (1 + V cos(phi + phi0))`` to count data.
 
     Accepts either a :class:`~timebinsim.measurement.FringeScan` or explicit
-    (phases, counts) arrays.  Poisson weighting
-    (``sigma = sqrt(max(counts, 1))``) is applied unless explicit
-    uncertainties are given.  The result is canonicalised to ``V`` in
-    ``[0, 1]`` and ``phi0`` in ``(-pi, pi]``.  Perfectly flat data fits a
-    fringe of zero visibility with an undefined phase.
+    (phases, counts) arrays.  Points carry Poisson weights
+    ``1 / max(counts, 1)``.  The model is fitted as
+    ``a + b cos(phi) + c sin(phi)``, whose weighted least-squares solution
+    and covariance are exact; ``A = |a|``, ``V = hypot(b, c) / A`` and
+    ``phi0 = atan2(-c, b)``, with errors propagated through the Jacobian of
+    that map.  The result is canonicalised to ``V`` in ``[0, 1]`` and
+    ``phi0`` in ``(-pi, pi]``.  Perfectly flat data fits a fringe of zero
+    visibility with an undefined phase.
     """
     if isinstance(phases, FringeScan):
         if counts is not None:
@@ -70,35 +70,24 @@ def fit_fringe(phases, counts=None, *, sigma=None) -> FringeFit:
                          phase_err=float("nan"), phase_defined=False,
                          n_points=phases.size)
 
-    # Harmonic projections give a robust starting point.
-    c1 = 2.0 * float(np.mean(counts * np.cos(phases)))
-    s1 = 2.0 * float(np.mean(counts * np.sin(phases)))
-    v0 = min(1.0, float(np.hypot(c1, s1)) / amp0) if amp0 > 0 else 0.5
-    phi0 = float(np.arctan2(-s1, c1))
-
-    if sigma is None:
-        sigma = np.sqrt(np.maximum(counts, 1.0))
+    design = np.stack([np.ones_like(phases), np.cos(phases), np.sin(phases)], axis=1)
+    weights = 1.0 / np.maximum(counts, 1.0)
     try:
-        with warnings.catch_warnings():
-            # noiseless inputs make the covariance singular; the errors are
-            # then reported as inf, which is the right answer
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, pcov = curve_fit(_fringe_model, phases, counts,
-                                   p0=[amp0, max(v0, 1e-3), phi0],
-                                   sigma=sigma, absolute_sigma=True,
-                                   maxfev=20000)
-    except RuntimeError as exc:
-        raise RuntimeError(f"fringe fit did not converge: {exc}") from exc
+        cov = np.linalg.inv(design.T @ (weights[:, None] * design))
+    except np.linalg.LinAlgError:
+        raise ValueError("phases must hold at least 3 distinct setpoints "
+                         "modulo 2*pi to fit a fringe") from None
+    a, b, c = cov @ (design.T @ (weights * counts))
 
-    amp, vis, ph = (float(x) for x in popt)
-    errs = np.sqrt(np.abs(np.diag(pcov)))
-    if amp < 0:  # A and V are only fixed up to a joint sign
-        amp, vis = -amp, -vis
-    if vis < 0:
-        vis = -vis
-        ph += np.pi
+    r = float(np.hypot(b, c))
+    amp = abs(float(a))
+    vis = r / amp
+    jac = np.array([[1.0, 0.0, 0.0],
+                    [-vis / a, b / (r * amp), c / (r * amp)],
+                    [0.0, c / r ** 2, -b / r ** 2]])
+    errs = np.sqrt(np.diag(jac @ cov @ jac.T))
     vis = min(vis, 1.0)
-    ph = _wrap(ph)
+    ph = _wrap(float(np.arctan2(-c, b)))
     defined = vis > 1e-9
     return FringeFit(amplitude=amp, visibility=vis, phase=ph,
                      amplitude_err=float(errs[0]), visibility_err=float(errs[1]),

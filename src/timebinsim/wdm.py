@@ -17,8 +17,8 @@ import numpy as np
 from .core import (InsufficientStatisticsError, LaserId, PhysicalParams,
                    PulseSequence, ResonantPulse, TimeBinState, validate,
                    write_csv)
-from .dynamics import derive_drive
-from .measurement import gate, reject_reset_light, spectral_filter
+from .dynamics import generate_state
+from .measurement import reject_reset_light, spectral_filter
 from .montecarlo import EventStream, run
 
 
@@ -74,8 +74,6 @@ def build_wdm_sequence(spec: WdmSpec | None = None, *, scale: float = 1.0) -> Pu
     """
     spec = spec or WdmSpec()
     validate(spec)
-    if spec.red_detuning == spec.blue_detuning:
-        raise ValueError("the two drive colors must differ")
     locked = spec.locked_phase is not None
     seq = PulseSequence(
         n_bins=2,
@@ -106,35 +104,18 @@ class WdmState:
 def wdm_state(spec: WdmSpec | None = None,
               params: PhysicalParams | None = None, *,
               scale: float = 1.0) -> WdmState:
-    """Analytic per-channel photonic state of the two-colour sequence."""
+    """Analytic state of the two-colour sequence, split by colour channel."""
     spec = spec or WdmSpec()
     params = params or PhysicalParams()
-    seq = build_wdm_sequence(spec, scale=scale)
-    d1, d2 = (derive_drive(p, params) for p in seq.pulses)
-    h = params.p_hole_init
-    p_early = h * d1.excitation
-    p_late = h * (1.0 - d1.excitation) * d2.excitation
-
-    locked = spec.locked_phase is not None
-    if locked:
-        mag = (np.sqrt(p_early * p_late)
-               * np.exp(-params.bin_separation / params.t2_spin)
-               * np.sqrt(d1.coherent_fraction * d2.coherent_fraction))
-        coherence = mag * np.exp(1j * (0.0 - spec.locked_phase))
-    else:
-        coherence = 0j
-
-    early_state = TimeBinState(p_early=p_early, p_late=0.0)
-    late_state = TimeBinState(p_early=0.0, p_late=p_late)
+    combined = generate_state(build_wdm_sequence(spec, scale=scale), params)
+    early_state = TimeBinState(p_early=combined.p_early, p_late=0.0)
+    late_state = TimeBinState(p_early=0.0, p_late=combined.p_late)
     if spec.early_laser is LaserId.RED:
         red, blue = early_state, late_state
     else:
         red, blue = late_state, early_state
-    combined = TimeBinState(p_early=p_early, p_late=p_late, coherence=coherence)
-    for s in (red, blue, combined):
-        validate(s)
     return WdmState(red=red, blue=blue, combined=combined,
-                    relative_phase_known=locked)
+                    relative_phase_known=spec.locked_phase is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +165,6 @@ def recovery_report(spec: WdmSpec | None = None,
                     params: PhysicalParams | None = None, *,
                     n_trajectories: int = 100_000, seed: int = 0,
                     fwhm_uev: float = 5.0, extinction: float = 1e-3,
-                    gate_start_ps: float = 0.0,
                     stream: EventStream | None = None) -> RecoveryReport:
     """Early/late fractions without a filter and behind each colour filter.
 
@@ -197,8 +177,6 @@ def recovery_report(spec: WdmSpec | None = None,
     if stream is None:
         stream = run(build_wdm_sequence(spec), params, n_trajectories, seed)
     stream = reject_reset_light(stream)
-    if gate_start_ps > 0:
-        stream = gate(stream, gate_start_ps, float("inf"))
 
     channels = (("none", None), ("red", spec.red_detuning),
                 ("blue", spec.blue_detuning))

@@ -2,8 +2,10 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from timebinsim import EventStream, PhysicalParams, run, save_params, sequence_for_pgen
+from timebinsim import cli
 from timebinsim.cli import main
 from timebinsim.core import PARAM_FIELDS
 
@@ -44,6 +46,22 @@ def test_invalid_parameter_value_fails_validation(tmp_path, capsys):
                  "--out", str(tmp_path / "o"),
                  "--param", "t1_radiative=-5"]) == 2
     assert "t1_radiative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--param", "t1_radiative=inf"],
+    ["simulate", "--param", "background_rate=2"],
+    ["simulate", "--trajectories", "-5"],
+    ["simulate", "--p-gen", "1.5"],
+    ["wdm", "--fwhm", "0"],
+    ["wdm", "--extinction", "2"],
+    ["g2", "--calibrate-g2", "1.5"],
+    ["g2", "--window", "0"],
+    ["phase-qubits", "--scan-points", "3"],
+])
+def test_bad_numeric_input_is_a_usage_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_every_subcommand_documents_the_parameter_keys(capsys):
@@ -179,6 +197,20 @@ def test_g2_with_calibration(tmp_path, capsys):
     assert meta["params"]["background_rate"] == \
         meta["options"]["calibrated_background"]
     assert "calibrated background rate" in capsys.readouterr().out
+
+
+def test_g2_calibration_uses_the_histogram_window(tmp_path, capsys, monkeypatch):
+    seen = {}
+
+    def fake_calibration(*args, **kwargs):
+        seen.update(kwargs)
+        return 0.01
+
+    monkeypatch.setattr(cli, "calibrate_background_for_g2", fake_calibration)
+    assert main(["g2", "--trajectories", "3000", "--calibrate-g2", "0.05",
+                 "--window", "3", "--out", str(tmp_path / "o")]) == 0
+    assert seen["window"] == 3
+    capsys.readouterr()
 
 
 def test_g2_needs_enough_statistics(tmp_path, capsys):

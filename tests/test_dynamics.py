@@ -19,7 +19,6 @@ from oracle_values import (C_HALF_PI, C_PI, DEPHASING, EXPECTED_VISIBILITY,
 def test_rotation_angle_reference_points():
     assert rotation_angle(1.0) == pytest.approx(math.pi / 2)
     assert rotation_angle(4.0) == pytest.approx(math.pi)
-    assert rotation_angle(4.0, 1.0, math.pi / 2) == pytest.approx(math.pi)
     assert rotation_angle(0.0) == 0.0
 
 
@@ -109,10 +108,14 @@ def test_generate_state_scales_with_hole_preparation(params, clean_params):
     assert half.p_late == pytest.approx(0.5 * full.p_late)
 
 
-def test_generate_state_refuses_mixed_colours(params):
-    from timebinsim import build_wdm_sequence
-    with pytest.raises(ValueError, match="wdm_state"):
-        generate_state(build_wdm_sequence(), params)
+def test_generate_state_covers_two_colour_sequences(params):
+    from timebinsim import WdmSpec, build_wdm_sequence, wdm_state
+    free = generate_state(build_wdm_sequence(), params)
+    assert free.coherence == 0j
+    assert free.p_total == pytest.approx(wdm_state(params=params).combined.p_total)
+    spec = WdmSpec(locked_phase=0.7)
+    assert generate_state(build_wdm_sequence(spec), params) == \
+        wdm_state(spec, params).combined
 
 
 def test_expected_visibility_frozen_values(params):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from timebinsim import (InsufficientStatisticsError, Origin, PulseSequence,
-                        ResonantPulse, TimeBinState, background_rate_for_g2,
+                        ResonantPulse, TimeBinState, ValidationError,
+                        background_rate_for_g2,
                         calibrate_background_for_g2, filter_transmission,
                         fringe_scan, gate, hbt_g2, michelson,
                         michelson_expected, reject_reset_light, run,
@@ -110,14 +111,13 @@ def test_michelson_is_invariant_under_a_global_drive_phase(clean_params):
                           rb.detections.columns["timestamp_ps"])
 
 
-def test_michelson_rejects_streams_with_many_bins(clean_params):
+def test_run_rejects_a_three_bin_sequence(clean_params):
     seq = PulseSequence(n_bins=3, pulses=(
         ResonantPulse(bin_index=0, intensity=1.0),
         ResonantPulse(bin_index=1, intensity=1.0),
         ResonantPulse(bin_index=2, intensity=4.0)))
-    stream = run(seq, clean_params, 2000, seed=24)
-    with pytest.raises(ValueError, match="two occupied"):
-        michelson(stream, 0.0)
+    with pytest.raises(ValidationError, match="pulses"):
+        run(seq, clean_params, 2000, seed=24)
 
 
 def test_michelson_detection_is_reproducible(photon_stream):

@@ -196,6 +196,14 @@ def test_binary_round_trip_restores_provenance(tmp_path, params):
     with pytest.raises(ValueError, match="binary"):
         (tmp_path / "junk.bin").write_bytes(b"XXXXXX")
         EventStream.from_binary(tmp_path / "junk.bin")
+    whole = path.read_bytes()
+    hlen = int.from_bytes(whole[4:8], "little")
+    # cut inside the header length, the header, the count and the records
+    for cut in (6, 8 + hlen // 2, 8 + hlen + 4, len(whole) - 1):
+        short = tmp_path / f"short{cut}.bin"
+        short.write_bytes(whole[:cut])
+        with pytest.raises(ValueError, match="truncated"):
+            EventStream.from_binary(short)
 
 
 def test_run_validates_inputs(params):

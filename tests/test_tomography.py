@@ -51,6 +51,43 @@ def test_fit_input_validation():
         fit_fringe([0, 1, 2, 3], [1, -2, 3, 4])
     with pytest.raises(ValueError, match="equal length"):
         fit_fringe([0, 1, 2, 3], [1, 2, 3])
+    with pytest.raises(ValueError, match="distinct setpoints"):
+        fit_fringe([0, 0, 2 * math.pi, 0], [1, 2, 3, 4])
+
+
+def _iterative_fit(phases, counts):
+    """Reference: Levenberg-Marquardt on the nonlinear fringe model."""
+    from scipy.optimize import curve_fit
+
+    def model(phi, amplitude, visibility, phase0):
+        return amplitude * (1.0 + visibility * np.cos(phi + phase0))
+
+    c1 = 2.0 * np.mean(counts * np.cos(phases))
+    s1 = 2.0 * np.mean(counts * np.sin(phases))
+    p0 = [counts.mean(), np.hypot(c1, s1) / counts.mean(), np.arctan2(-s1, c1)]
+    popt, pcov = curve_fit(model, phases, counts, p0=p0,
+                           sigma=np.sqrt(np.maximum(counts, 1.0)),
+                           absolute_sigma=True, xtol=1e-14, ftol=1e-14,
+                           gtol=1e-14, maxfev=20000)
+    amp, vis, ph = popt
+    if vis < 0:
+        vis, ph = -vis, ph + math.pi
+    return vis, math.sqrt(pcov[1, 1]), ph
+
+
+def test_closed_form_fit_matches_an_iterative_fit_on_poisson_fringes():
+    rng = np.random.default_rng(2018)
+    phases = np.linspace(0.0, 2 * math.pi, 12, endpoint=False)
+    for _ in range(50):
+        amplitude = rng.uniform(50.0, 5000.0)
+        visibility = rng.uniform(0.1, 0.95)
+        phase0 = rng.uniform(-math.pi, math.pi)
+        counts = rng.poisson(amplitude * (1 + visibility * np.cos(phases + phase0)))
+        fit = fit_fringe(phases, counts)
+        vis, vis_err, ph = _iterative_fit(phases, counts.astype(float))
+        assert fit.visibility == pytest.approx(vis, rel=1e-5)
+        assert fit.visibility_err == pytest.approx(vis_err, rel=1e-5)
+        assert abs(math.remainder(fit.phase - ph, 2 * math.pi)) < 1e-6
 
 
 def test_qubit_phase_is_reference_minus_modulated():
