@@ -14,8 +14,7 @@ from .measurement import (FringeScan, HbtResult, Histogram, MichelsonResult,
                           filter_transmission, fringe_scan, gate, hbt_g2,
                           michelson, michelson_expected, reject_reset_light,
                           spectral_filter, time_histogram)
-from .montecarlo import (EventStream, Origin, PhotonEvent, run,
-                         sample_trajectory, trajectory_rng)
+from .montecarlo import EventStream, Origin, run
 from .tomography import (FringeFit, bloch_of_state, direction_fidelity,
                          fidelity, fit_fringe, qubit_phase, reconstruct,
                          unwrap_phases, write_states_csv)
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlochVector", "ConfigError", "EventStream", "FringeFit", "FringeScan",
     "HbtResult", "Histogram", "InsufficientStatisticsError", "LaserId",
-    "MichelsonResult", "Origin", "PhotonEvent", "PhysicalParams",
+    "MichelsonResult", "Origin", "PhysicalParams",
     "PulseSequence", "RecoveryReport", "ResonantPulse", "TimeBinState",
     "ValidationError", "WdmSpec", "WdmState", "background_rate_for_g2",
     "bloch_of_state", "build_wdm_sequence", "calibrate_background_for_g2",
@@ -38,8 +37,8 @@ __all__ = [
     "michelson", "michelson_expected", "purity_bound", "qubit_phase",
     "reconstruct", "recovery_report", "reject_reset_light", "rotation_angle",
     "run",
-    "sample_trajectory", "save_params", "sequence_drives", "sequence_for_pgen",
-    "spectral_filter", "time_histogram", "trajectory_rng",
+    "save_params", "sequence_drives", "sequence_for_pgen",
+    "spectral_filter", "time_histogram",
     "two_pulse_sequence", "unwrap_phases", "validate", "visibility_curve",
     "wdm_state", "write_states_csv",
 ]

@@ -3,8 +3,9 @@
 Each subcommand runs one named experiment and writes its artifacts into the
 directory given by ``--out``: CSV data files plus a ``<command>.meta.json``
 sidecar recording the resolved physical parameters and seed, so any result
-can be regenerated bit-for-bit.  Files are written atomically (temp file +
-rename), so a failed run never leaves partial output behind.
+can be regenerated bit-for-bit.  A run's files appear in ``--out`` only
+once all of them and the sidecar are written, so a failed run leaves no
+partial output behind.
 
 Exit codes: 0 success, 2 configuration or validation problem, 3 a
 statistics-dependent result could not be computed from the events.
@@ -16,11 +17,12 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
-from numpy.random import SeedSequence
 
 from .core import (ConfigError, InsufficientStatisticsError, PARAM_FIELDS,
                    PhysicalParams, ValidationError, load_params, validate,
@@ -30,50 +32,45 @@ from .dynamics import (expected_visibility, generate_state, sequence_for_pgen,
                        write_visibility_csv)
 from .measurement import (calibrate_background_for_g2, fringe_scan, gate,
                           hbt_g2, reject_reset_light)
-from .montecarlo import run
+from .montecarlo import derived_seed, run
 from .tomography import (bloch_of_state, direction_fidelity, fit_fringe,
                          qubit_phase, reconstruct, write_states_csv)
 from .wdm import WdmSpec, recovery_report
 
 
-def _write_atomic(path: str, writer) -> None:
-    tmp = f"{path}.tmp"
-    writer(tmp)
-    os.replace(tmp, path)
-
-
-def _derived_seed(*entropy: int) -> int:
-    return int(SeedSequence([int(e) for e in entropy]).generate_state(1, np.uint64)[0])
-
-
 class _OutDir:
-    """Atomic writer into the --out directory, tracking written files."""
+    """Writer into the --out directory that publishes a run all at once.
+
+    Files are staged in a temporary sibling of --out and moved into it only
+    after the sidecar is written; :meth:`discard` removes whatever is left
+    staged, so a failed run leaves no partial output behind.
+    """
 
     def __init__(self, root: str):
-        os.makedirs(root, exist_ok=True)
         self.root = root
         self.written: list[str] = []
+        parent = os.path.dirname(os.path.abspath(root))
+        os.makedirs(parent, exist_ok=True)
+        self.staging = tempfile.mkdtemp(prefix=f".{os.path.basename(root)}.",
+                                        dir=parent)
 
-    def path(self, name: str) -> str:
-        return os.path.join(self.root, name)
-
-    def write(self, name: str, writer) -> str:
-        p = self.path(name)
-        _write_atomic(p, writer)
+    def write(self, name: str, writer) -> None:
+        writer(os.path.join(self.staging, name))
         self.written.append(name)
-        return p
 
     def sidecar(self, command: str, params: PhysicalParams, seed: int | None,
                 options: dict) -> None:
         meta = {"command": command, "params": params.to_dict(), "seed": seed,
                 "options": options, "files": sorted(self.written)}
-        text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
+        name = f"{command}.meta.json"
+        with open(os.path.join(self.staging, name), "w") as fh:
+            fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+        os.makedirs(self.root, exist_ok=True)
+        for f in self.written + [name]:
+            os.replace(os.path.join(self.staging, f), os.path.join(self.root, f))
 
-        def writer(p):
-            with open(p, "w") as fh:
-                fh.write(text)
-
-        _write_atomic(self.path(f"{command}.meta.json"), writer)
+    def discard(self) -> None:
+        shutil.rmtree(self.staging, ignore_errors=True)
 
 
 def _resolve_params(args) -> PhysicalParams:
@@ -113,9 +110,8 @@ def _measure_visibility(p_gen: float, phase2: float, params: PhysicalParams,
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_visibility_sweep(args) -> int:
+def cmd_visibility_sweep(args, out: _OutDir) -> int:
     params = _resolve_params(args)
-    out = _OutDir(args.out)
 
     grid = np.linspace(args.p_min, args.p_max, args.points)
     t1_list = _parse_floats(args.t1)
@@ -127,7 +123,7 @@ def cmd_visibility_sweep(args) -> int:
                                           args.mc_points)):
         _, fit = _measure_visibility(float(p_gen), 0.0, params,
                                      args.trajectories, args.scan_points,
-                                     _derived_seed(args.seed, k))
+                                     derived_seed(args.seed, k))
         mc_rows.append((float(p_gen), fit.visibility, fit.visibility_err,
                         expected_visibility(float(p_gen), params)))
     out.write("visibility_mc.csv", lambda p: write_csv(
@@ -143,31 +139,36 @@ def cmd_visibility_sweep(args) -> int:
     return 0
 
 
-def cmd_phase_qubits(args) -> int:
+def cmd_phase_qubits(args, out: _OutDir) -> int:
     params = _resolve_params(args)
-    out = _OutDir(args.out)
     programmed = (_parse_floats(args.phases) if args.phases
                   else list(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)))
 
     ref_scan, reference = _measure_visibility(
         args.p_gen, 0.0, params, args.trajectories, args.scan_points,
-        _derived_seed(args.seed, 0))
+        derived_seed(args.seed, 0))
     out.write("fringe_reference.csv", ref_scan.to_csv)
 
     fit_rows, state_rows = [], []
     for k, delta in enumerate(programmed, start=1):
         scan, fit = _measure_visibility(
             args.p_gen, delta, params, args.trajectories, args.scan_points,
-            _derived_seed(args.seed, k))
+            derived_seed(args.seed, k))
         out.write(f"fringe_{k:02d}.csv", scan.to_csv)
+        if not (reference.phase_defined and fit.phase_defined):
+            raise InsufficientStatisticsError(
+                f"setpoint {k}: too few photons to define a fringe phase")
         recovered = qubit_phase(reference, fit)
         fit_rows.append((delta, recovered, fit.visibility, fit.visibility_err))
 
         # Populations from an interferometer-free acquisition, keeping only
         # the emitted photons (no reset flash, no background).
         seq = sequence_for_pgen(args.p_gen, phase2=delta)
-        pop = run(seq, params, args.trajectories, _derived_seed(args.seed, k, 1))
+        pop = run(seq, params, args.trajectories, derived_seed(args.seed, k, 1))
         pop = pop.subset(pop.photon_mask)
+        if len(pop) == 0:
+            raise InsufficientStatisticsError(
+                f"setpoint {k}: the population run kept no photons")
         bins = pop.columns["bin_index"]
         p_e = float(np.sum(bins == 0)) / pop.n_trajectories
         p_l = float(np.sum(bins >= 1)) / pop.n_trajectories
@@ -188,9 +189,8 @@ def cmd_phase_qubits(args) -> int:
     return 0
 
 
-def cmd_wdm(args) -> int:
+def cmd_wdm(args, out: _OutDir) -> int:
     params = _resolve_params(args)
-    out = _OutDir(args.out)
     spec = WdmSpec.for_splitting(params.spin_splitting,
                                  locked_phase=args.locked_phase)
     report = recovery_report(spec, params, n_trajectories=args.trajectories,
@@ -209,16 +209,15 @@ def cmd_wdm(args) -> int:
     return 0
 
 
-def cmd_g2(args) -> int:
+def cmd_g2(args, out: _OutDir) -> int:
     params = _resolve_params(args)
-    out = _OutDir(args.out)
     seq = two_pulse_sequence(scale=args.scale)
     calibrated = None
     if args.calibrate_g2 is not None:
         calibrated = calibrate_background_for_g2(
             seq, params, args.calibrate_g2,
             n_trajectories=args.trajectories,
-            seed=_derived_seed(args.seed, 1), window=args.window)
+            seed=derived_seed(args.seed, 1), window=args.window)
         params = replace(params, background_rate=calibrated)
     elif args.background is not None:
         params = replace(params, background_rate=args.background)
@@ -239,9 +238,8 @@ def cmd_g2(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, out: _OutDir) -> int:
     params = _resolve_params(args)
-    out = _OutDir(args.out)
     seq = sequence_for_pgen(args.p_gen, phase2=args.phase2)
     stream = run(seq, params, args.trajectories, args.seed)
     if args.binary:
@@ -374,14 +372,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
+    out = _OutDir(args.out)
     try:
-        return args.func(args)
+        return args.func(args, out)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InsufficientStatisticsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        out.discard()
 
 
 def entry_point() -> None:

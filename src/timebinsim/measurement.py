@@ -34,7 +34,7 @@ from numpy.random import Generator, Philox, SeedSequence
 from .core import (InsufficientStatisticsError, PhysicalParams, PulseSequence,
                    TimeBinState, write_csv)
 from .dynamics import sequence_drives
-from .montecarlo import CODE_BY_ORIGIN, EventStream, Origin, run
+from .montecarlo import CODE_BY_ORIGIN, EventStream, Origin, derived_seed, run
 
 _TAG_MICHELSON = 0x4D49
 _TAG_FILTER = 0x464C
@@ -181,9 +181,7 @@ def michelson(stream: EventStream, interferometer_phase: float = 0.0, *,
     detections = EventStream(params=params, sequence=stream.sequence,
                              seed=stream.seed, n_trajectories=stream.n_trajectories,
                              columns=out_cols)
-    order = np.lexsort((detections.columns["timestamp_ps"],
-                        detections.columns["trajectory_id"]))
-    detections.columns = {k: v[order] for k, v in detections.columns.items()}
+    order = detections._sort()
     return MichelsonResult(detections=detections, slots=slot[order],
                            interferometer_phase=float(interferometer_phase),
                            n_input=n)
@@ -255,8 +253,8 @@ def fringe_scan(source: EventStream | PulseSequence, phases, *,
         else:
             if params is None or n_trajectories is None or seed is None:
                 raise ValueError("sequence source requires params, n_trajectories and seed")
-            run_seed = int(SeedSequence([int(seed), _TAG_FRINGE, k]).generate_state(1, np.uint64)[0])
-            stream = run(source, params, n_trajectories, run_seed)
+            stream = run(source, params, n_trajectories,
+                         derived_seed(seed, _TAG_FRINGE, k))
         result = michelson(reject_reset_light(stream), float(phi), salt=salt)
         early, mid, late = result.slot_counts()
         middles.append(mid)

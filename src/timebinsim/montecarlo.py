@@ -19,8 +19,7 @@ energy) are overlaid per window with mean ``background_rate``.
 Determinism contract: every trajectory owns a fixed-width block of the
 Philox counter space derived from the master seed (trajectory ``i`` uses
 draws ``[i*K, (i+1)*K)``, ``K = 72`` for every sequence), so results are
-bit-identical for any chunk size or execution order, and any single
-trajectory can be reproduced in isolation via :func:`trajectory_rng`.
+bit-identical for any chunk size or execution order.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import ndtri
-from scipy.stats import poisson
 
 from .core import (LaserId, PhysicalParams, PulseSequence, ValidationError,
                    validate)
@@ -65,28 +63,6 @@ ORIGIN_BY_CODE = {0: Origin.COHERENT_RAMAN, 1: Origin.INCOHERENT_DECAY,
 CODE_BY_ORIGIN = {o: c for c, o in ORIGIN_BY_CODE.items()}
 
 
-@dataclass(frozen=True)
-class PhotonEvent:
-    """One detected-photon record."""
-
-    trajectory_id: int
-    timestamp: float  # ps from the window start
-    energy: float  # ueV relative to the bare transition
-    origin: Origin
-    optical_phase: float  # rad
-    bin_index: int
-
-    def violations(self) -> list[str]:
-        v = []
-        if self.trajectory_id < 0:
-            v.append("trajectory_id: must be >= 0")
-        if not self.timestamp >= 0:
-            v.append("timestamp: must be >= 0")
-        if self.bin_index < 0:
-            v.append("bin_index: must be >= 0")
-        return v
-
-
 _COLUMNS = ("trajectory_id", "timestamp_ps", "energy_uev", "origin",
             "phase_rad", "bin_index")
 _DTYPES = {"trajectory_id": np.int64, "timestamp_ps": np.float64,
@@ -98,9 +74,7 @@ _DTYPES = {"trajectory_id": np.int64, "timestamp_ps": np.float64,
 class EventStream:
     """Column-oriented list of photon events plus full run provenance.
 
-    Events are sorted by (trajectory_id, timestamp).  Iterating yields
-    :class:`PhotonEvent` objects; bulk analysis should use the column
-    arrays directly.
+    Events are sorted by (trajectory_id, timestamp).
     """
 
     params: PhysicalParams
@@ -112,34 +86,18 @@ class EventStream:
     def __len__(self) -> int:
         return len(self.columns["trajectory_id"]) if self.columns else 0
 
-    def event(self, i: int) -> PhotonEvent:
-        c = self.columns
-        return PhotonEvent(
-            trajectory_id=int(c["trajectory_id"][i]),
-            timestamp=float(c["timestamp_ps"][i]),
-            energy=float(c["energy_uev"][i]),
-            origin=ORIGIN_BY_CODE[int(c["origin"][i])],
-            optical_phase=float(c["phase_rad"][i]),
-            bin_index=int(c["bin_index"][i]),
-        )
-
-    def __iter__(self):
-        return (self.event(i) for i in range(len(self)))
-
-    @property
-    def events(self) -> list[PhotonEvent]:
-        return list(self)
-
     def subset(self, mask: np.ndarray) -> "EventStream":
         cols = {k: v[mask] for k, v in self.columns.items()}
         return EventStream(params=self.params, sequence=self.sequence,
                            seed=self.seed, n_trajectories=self.n_trajectories,
                            columns=cols)
 
-    def _sort(self) -> None:
+    def _sort(self) -> np.ndarray:
+        """Put the events in stream order; returns the permutation applied."""
         c = self.columns
         order = np.lexsort((c["timestamp_ps"], c["trajectory_id"]))
         self.columns = {k: v[order] for k, v in c.items()}
+        return order
 
     def origin_mask(self, *origins: Origin) -> np.ndarray:
         codes = [CODE_BY_ORIGIN[o] for o in origins]
@@ -230,15 +188,19 @@ class EventStream:
         start = 16 + hlen
         if len(data) - start < n * dtype.itemsize:
             raise truncated
-        meta = json.loads(data[8:8 + hlen].decode())
+        try:
+            meta = json.loads(data[8:8 + hlen].decode())
+            provenance = {"params": PhysicalParams.from_dict(meta["params"]),
+                          "sequence": PulseSequence.from_dict(meta["sequence"]),
+                          "seed": int(meta["seed"]),
+                          "n_trajectories": int(meta["n_trajectories"])}
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed event-stream header: {path}: "
+                             f"{type(exc).__name__}: {exc}") from None
         rec = np.frombuffer(data, dtype=dtype, count=n, offset=start)
         cols = {name: np.ascontiguousarray(rec[name]).astype(_DTYPES[name])
                 for name in _COLUMNS}
-        return cls(params=PhysicalParams.from_dict(meta["params"]),
-                   sequence=PulseSequence.from_dict(meta["sequence"]),
-                   seed=int(meta["seed"]),
-                   n_trajectories=int(meta["n_trajectories"]),
-                   columns=cols)
+        return cls(columns=cols, **provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -264,23 +226,20 @@ _BG_ENERGY0 = _BG_PHASE0 + _BG_CAP
 _WIDTH = _BG_ENERGY0 + _BG_CAP  # 72
 
 
-def draws_per_trajectory(sequence: PulseSequence) -> int:
-    """Uniform draws each trajectory owns; the same for every sequence."""
-    return _WIDTH
+def derived_seed(*entropy: int) -> int:
+    """64-bit master seed for a sub-run, derived from integer ``entropy``."""
+    return int(SeedSequence([int(e) for e in entropy]).generate_state(1, np.uint64)[0])
 
 
-def trajectory_rng(sequence: PulseSequence, seed: int, trajectory_id: int) -> Generator:
-    """Generator positioned at trajectory ``trajectory_id``'s draw block."""
-    width = draws_per_trajectory(sequence)
-    bg = Philox(seed=SeedSequence(int(seed)))
-    bg.advance(trajectory_id * width // 4)
-    return Generator(bg)
+def _poisson_cdf(rate: float, cap: int) -> np.ndarray:
+    """P(N <= k) for k = 0..cap, N ~ Poisson(rate), from the pmf recurrence."""
+    return np.cumsum(np.cumprod(np.r_[np.exp(-rate), rate / np.arange(1, cap + 1)]))
 
 
 def _truncated_poisson_counts(rate: float, u: np.ndarray, cap: int) -> np.ndarray:
     if rate <= 0:
         return np.zeros(u.shape, np.int64)
-    cdf = poisson.cdf(np.arange(cap + 1), rate)
+    cdf = _poisson_cdf(rate, cap)
     return np.clip(np.searchsorted(cdf, u, side="right"), 0, cap).astype(np.int64)
 
 
@@ -401,29 +360,6 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
-def sample_trajectory(sequence: PulseSequence, params: PhysicalParams,
-                      rng: Generator) -> list[PhotonEvent]:
-    """Sample one window, consuming this trajectory's fixed draw block.
-
-    ``rng`` should normally come from :func:`trajectory_rng`; any Generator
-    works, but exactly ``draws_per_trajectory(sequence)`` uniforms are used
-    so that results line up with :func:`run`.
-    """
-    width = draws_per_trajectory(sequence)
-    draws = rng.random(width).reshape(1, width)
-    cols = _simulate_block(sequence, params, draws, traj_start=0)
-    order = np.argsort(cols["timestamp_ps"], kind="stable")
-    return [
-        PhotonEvent(trajectory_id=0,
-                    timestamp=float(cols["timestamp_ps"][i]),
-                    energy=float(cols["energy_uev"][i]),
-                    origin=ORIGIN_BY_CODE[int(cols["origin"][i])],
-                    optical_phase=float(cols["phase_rad"][i]),
-                    bin_index=int(cols["bin_index"][i]))
-        for i in order
-    ]
-
-
 def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
         seed: int, *, chunk_size: int = 1 << 17) -> EventStream:
     """Simulate ``n_trajectories`` windows under a master seed.
@@ -441,14 +377,13 @@ def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
     if capped:
         raise ValidationError(capped)
 
-    width = draws_per_trajectory(sequence)
     pieces: list[dict[str, np.ndarray]] = []
     start = 0
     while start < n_trajectories:
         m = min(chunk_size, n_trajectories - start)
         bg = Philox(seed=SeedSequence(int(seed)))
-        bg.advance(start * width // 4)
-        draws = Generator(bg).random((m, width))
+        bg.advance(start * _WIDTH // 4)
+        draws = Generator(bg).random((m, _WIDTH))
         pieces.append(_simulate_block(sequence, params, draws, traj_start=start))
         start += m
 

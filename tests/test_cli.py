@@ -217,3 +217,11 @@ def test_g2_needs_enough_statistics(tmp_path, capsys):
     assert main(["g2", "--trajectories", "1",
                  "--out", str(tmp_path / "o")]) == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_phase_qubits_without_photons_fails_cleanly(tmp_path, capsys):
+    assert main(["phase-qubits", "--p-gen", "0", "--trajectories", "50",
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []  # neither --out nor its staging area
