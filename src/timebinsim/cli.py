@@ -49,10 +49,16 @@ class _OutDir:
     def __init__(self, root: str):
         self.root = root
         self.written: list[str] = []
+        if os.path.exists(root) and not os.path.isdir(root):
+            raise ConfigError(f"--out {root!r} exists and is not a directory")
         parent = os.path.dirname(os.path.abspath(root))
-        os.makedirs(parent, exist_ok=True)
-        self.staging = tempfile.mkdtemp(prefix=f".{os.path.basename(root)}.",
-                                        dir=parent)
+        try:
+            os.makedirs(parent, exist_ok=True)
+            self.staging = tempfile.mkdtemp(
+                prefix=f".{os.path.basename(root)}.", dir=parent)
+        except OSError as exc:
+            raise ConfigError(f"--out {root!r}: cannot create a staging "
+                              f"directory: {exc}") from None
 
     def write(self, name: str, writer) -> None:
         writer(os.path.join(self.staging, name))
@@ -74,7 +80,10 @@ class _OutDir:
 
 
 def _resolve_params(args) -> PhysicalParams:
-    params = load_params(args.config) if args.config else PhysicalParams()
+    try:
+        params = load_params(args.config) if args.config else PhysicalParams()
+    except OSError as exc:
+        raise ConfigError(f"--config {args.config!r}: {exc.strerror}") from None
     overrides = {}
     for item in args.param or []:
         name, sep, value = item.partition("=")
@@ -271,6 +280,7 @@ def _checked(convert, ok, requirement: str):
 
 
 _COUNT = _checked(int, lambda n: n >= 1, ">= 1")
+_NON_NEGATIVE = _checked(int, lambda n: n >= 0, ">= 0")
 _SCAN_POINTS = _checked(int, lambda n: n >= 4, ">= 4")
 _UNIT_INTERVAL = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 _OPEN_UNIT_INTERVAL = _checked(float, lambda x: 0.0 < x < 1.0, "in (0, 1)")
@@ -301,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="physical-parameter file (name = value lines)")
         p.add_argument("--param", action="append", metavar="NAME=VALUE",
                        help="override a single physical parameter (repeatable)")
-        p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+        p.add_argument("--seed", type=_NON_NEGATIVE, default=0,
+                       help="master RNG seed")
         p.add_argument("--trajectories", type=_COUNT, default=trajectories,
                        help="number of simulated pulse-sequence windows")
         p.add_argument("--out", required=True, help="output directory")
@@ -309,13 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("visibility-sweep",
                    "analytic + Monte-Carlo fringe visibility vs drive strength")
     add_common(p, trajectories=20_000)
-    p.add_argument("--p-min", type=float, default=0.05)
-    p.add_argument("--p-max", type=float, default=1.0)
-    p.add_argument("--points", type=int, default=20,
+    p.add_argument("--p-min", type=_UNIT_INTERVAL, default=0.05)
+    p.add_argument("--p-max", type=_UNIT_INTERVAL, default=1.0)
+    p.add_argument("--points", type=_NON_NEGATIVE, default=20,
                    help="points on the analytic curve")
     p.add_argument("--t1", default="250",
                    help="comma-separated radiative lifetimes in ps")
-    p.add_argument("--mc-points", type=int, default=5,
+    p.add_argument("--mc-points", type=_NON_NEGATIVE, default=5,
                    help="Monte-Carlo check points across the sweep")
     p.add_argument("--scan-points", type=_SCAN_POINTS, default=12,
                    help="interferometer setpoints per fringe scan")
@@ -372,8 +383,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
-    out = _OutDir(args.out)
+    out = None
     try:
+        out = _OutDir(args.out)
         return args.func(args, out)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -382,7 +394,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     finally:
-        out.discard()
+        if out is not None:
+            out.discard()
 
 
 def entry_point() -> None:

@@ -19,11 +19,10 @@ hunt.
 from __future__ import annotations
 
 import enum
-import json
 import math
-from dataclasses import dataclass, field, fields, replace  # noqa: F401  (replace is part of the public surface)
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 
 class ConfigError(ValueError):
@@ -154,7 +153,6 @@ class ResonantPulse:
     the bare transition in ueV, which a coherently scattered photon inherits.
     """
 
-    bin_index: int
     intensity: float
     phase: float = 0.0
     laser_id: LaserId = LaserId.RED
@@ -162,10 +160,8 @@ class ResonantPulse:
 
     def violations(self) -> list[str]:
         v = []
-        if self.bin_index < 0:
-            v.append("bin_index: must be >= 0")
-        if not self.intensity >= 0:
-            v.append("intensity: must be >= 0")
+        if not 0.0 <= self.intensity < math.inf:
+            v.append("intensity: must be finite and >= 0")
         if not math.isfinite(self.phase):
             v.append("phase: must be finite")
         if not isinstance(self.laser_id, LaserId):
@@ -176,7 +172,6 @@ class ResonantPulse:
 
     def to_dict(self) -> dict:
         return {
-            "bin_index": self.bin_index,
             "intensity": self.intensity,
             "phase": self.phase,
             "laser_id": self.laser_id.value,
@@ -186,7 +181,6 @@ class ResonantPulse:
     @classmethod
     def from_dict(cls, d: dict) -> "ResonantPulse":
         return cls(
-            bin_index=int(d["bin_index"]),
             intensity=float(d["intensity"]),
             phase=float(d["phase"]),
             laser_id=LaserId(d["laser_id"]),
@@ -196,50 +190,42 @@ class ResonantPulse:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """The drive program for one generation window.
+    """The drive program for one generation window: ``pulses`` is
+    (early, late), and a pulse's position names the time bin it drives.
 
-    A window always holds two time bins, each driven by exactly one pulse:
-    ``pulses[0]`` in bin 0 (early) and ``pulses[1]`` in bin 1 (late).  The
-    two pulses may differ in colour (wavelength multiplexing).
+    A reset precedes every window, and a window always holds ``n_bins == 2``
+    bins.  The two pulses may differ in colour (wavelength multiplexing).
     ``random_interlaser_phase`` marks two-colour sequences whose lasers are
     free-running: the relative optical phase between the colours is then
     redrawn uniformly for every trajectory instead of being fixed by the
     pulse ``phase`` fields.
     """
 
-    n_bins: int
     pulses: tuple[ResonantPulse, ...]
-    reset_before: bool = True
     random_interlaser_phase: bool = False
+    n_bins: ClassVar[int] = 2
 
     def __post_init__(self):
         object.__setattr__(self, "pulses", tuple(self.pulses))
 
     def violations(self) -> list[str]:
         v = []
-        if self.n_bins != 2:
-            v.append("n_bins: must be 2")
-        bins = [p.bin_index for p in self.pulses]
-        if bins != [0, 1]:
-            v.append(f"pulses: need one pulse in bin 0 then one in bin 1, got bins {bins}")
-        for p in self.pulses:
-            v.extend(f"pulses[{p.bin_index}].{s}" for s in p.violations())
+        if len(self.pulses) != 2:
+            v.append(f"pulses: need two pulses (early, late), got {len(self.pulses)}")
+        for i, p in enumerate(self.pulses):
+            v.extend(f"pulses[{i}].{s}" for s in p.violations())
         return v
 
     def to_dict(self) -> dict:
         return {
-            "n_bins": self.n_bins,
             "pulses": [p.to_dict() for p in self.pulses],
-            "reset_before": self.reset_before,
             "random_interlaser_phase": self.random_interlaser_phase,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PulseSequence":
         return cls(
-            n_bins=int(d["n_bins"]),
             pulses=tuple(ResonantPulse.from_dict(p) for p in d["pulses"]),
-            reset_before=bool(d["reset_before"]),
             random_interlaser_phase=bool(d.get("random_interlaser_phase", False)),
         )
 
@@ -275,19 +261,6 @@ class TimeBinState:
     def p_total(self) -> float:
         return self.p_early + self.p_late
 
-    def to_dict(self) -> dict:
-        return {
-            "p_early": self.p_early,
-            "p_late": self.p_late,
-            "coherence": [self.coherence.real, self.coherence.imag],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TimeBinState":
-        re, im = d["coherence"]
-        return cls(p_early=float(d["p_early"]), p_late=float(d["p_late"]),
-                   coherence=complex(re, im))
-
 
 @dataclass(frozen=True)
 class BlochVector:
@@ -313,13 +286,6 @@ class BlochVector:
         if self.norm > 1.0 + EPS_FIT:
             v.append("x,y,z: norm exceeds 1 beyond the fit tolerance")
         return v
-
-    def to_dict(self) -> dict:
-        return {"x": self.x, "y": self.y, "z": self.z}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BlochVector":
-        return cls(x=float(d["x"]), y=float(d["y"]), z=float(d["z"]))
 
 
 def purity_bound(state: TimeBinState) -> float:
@@ -381,10 +347,6 @@ def params_text(params: PhysicalParams) -> str:
 
 def save_params(params: PhysicalParams, path: str | Path) -> None:
     Path(path).write_text(params_text(params))
-
-
-def params_json(params: PhysicalParams) -> str:
-    return json.dumps(params.to_dict(), sort_keys=True)
 
 
 def format_float(x: float) -> str:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    LaserId,
     PhysicalParams,
     PulseSequence,
     ResonantPulse,
@@ -103,39 +102,28 @@ def sequence_drives(sequence: PulseSequence,
     return tuple(derive_drive(p, params) for p in sequence.pulses)
 
 
-def two_pulse_sequence(scale: float = 1.0,
-                       phase2: float = 0.0,
-                       laser: LaserId = LaserId.RED,
-                       detuning: float = 0.0) -> PulseSequence:
+def two_pulse_sequence(scale: float = 1.0, phase2: float = 0.0) -> PulseSequence:
     """Standard pi/2 + pi drive pair (1:4 intensity ratio), optionally scaled.
 
     ``scale`` multiplies both intensities, preserving the ratio; ``phase2``
     is the optical phase programmed onto the second pulse, which becomes the
     qubit phase of the generated time-bin state.
     """
-    seq = PulseSequence(
-        n_bins=2,
-        pulses=(
-            ResonantPulse(bin_index=0, intensity=scale * REFERENCE_INTENSITY,
-                          laser_id=laser, detuning=detuning),
-            ResonantPulse(bin_index=1, intensity=scale * 4.0 * REFERENCE_INTENSITY,
-                          phase=phase2, laser_id=laser, detuning=detuning),
-        ),
-    )
+    seq = PulseSequence(pulses=(
+        ResonantPulse(intensity=scale * REFERENCE_INTENSITY),
+        ResonantPulse(intensity=scale * 4.0 * REFERENCE_INTENSITY, phase=phase2),
+    ))
     validate(seq)
     return seq
 
 
-def sequence_for_pgen(p_gen: float, phase2: float = 0.0,
-                      laser: LaserId = LaserId.RED,
-                      detuning: float = 0.0) -> PulseSequence:
+def sequence_for_pgen(p_gen: float, phase2: float = 0.0) -> PulseSequence:
     """Two-pulse 1:4 drive whose *second* pulse excites with probability p_gen."""
     if not 0.0 <= p_gen <= 1.0:
         raise ValueError("p_gen must lie in [0, 1]")
     theta2 = 2.0 * math.asin(math.sqrt(p_gen))
     i2 = intensity_for_angle(theta2)
-    return two_pulse_sequence(scale=i2 / 4.0, phase2=phase2, laser=laser,
-                              detuning=detuning)
+    return two_pulse_sequence(scale=i2 / 4.0, phase2=phase2)
 
 
 def generate_state(sequence: PulseSequence, params: PhysicalParams) -> TimeBinState:
@@ -188,6 +176,7 @@ def visibility_curve(p_gen_grid, t1_list, params: PhysicalParams) -> list[tuple[
     rows = []
     for t1 in t1_list:
         p = PhysicalParams(**{**params.to_dict(), "t1_radiative": float(t1)})
+        validate(p)
         for pg in np.asarray(p_gen_grid, dtype=float):
             rows.append((float(pg), float(t1), expected_visibility(float(pg), p)))
     return rows

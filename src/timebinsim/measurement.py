@@ -32,7 +32,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .core import (InsufficientStatisticsError, PhysicalParams, PulseSequence,
-                   TimeBinState, write_csv)
+                   TimeBinState, ValidationError, write_csv)
 from .dynamics import sequence_drives
 from .montecarlo import CODE_BY_ORIGIN, EventStream, Origin, derived_seed, run
 
@@ -397,6 +397,9 @@ def calibrate_background_for_g2(sequence: PulseSequence, params: PhysicalParams,
         return hbt_g2(prepared, window=window).zero_lag
 
     lo, hi = 0.0, 4.0 * background_rate_for_g2(1.0, target_g2)
+    if hi == 0.0:  # the bracket below could never grow from zero
+        raise ValidationError([f"target_g2: {target_g2!r} is too small to "
+                               "resolve a background rate"])
     while measured(hi) < target_g2:
         hi *= 2.0
         if hi > 1.0:

@@ -326,7 +326,7 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
     }]
 
     # --- reset flash photons (window start) --------------------------------
-    if sequence.reset_before and params.reset_flash_rate > 0:
+    if params.reset_flash_rate > 0:
         fcount = _truncated_poisson_counts(params.reset_flash_rate,
                                            draws[:, _FLASH_COUNT], _FLASH_CAP)
         for j in range(int(fcount.max()) if fcount.size else 0):

@@ -1,11 +1,12 @@
 """Two-colour (wavelength-multiplexed) qubit generation and recovery.
 
-Driving the early bin with a red-detuned laser and the late bin with a
-blue-detuned one tags each time bin with its own photon energy, so the bins
-can be demultiplexed downstream with a narrow passband filter.  Unless the
-two lasers are phase-locked, their relative optical phase drifts freely
-between windows and the cross-bin coherence averages away - the bins are
-then recoverable individually but the qubit phase is not.
+A two-colour program always drives the early bin with the red-detuned laser
+and the late bin with the blue-detuned one.  This tags each time bin with
+its own photon energy, so the bins can be demultiplexed downstream with a
+narrow passband filter.  Unless the two lasers are phase-locked, their
+relative optical phase drifts freely between windows and the cross-bin
+coherence averages away - the bins are then recoverable individually but
+the qubit phase is not.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from .montecarlo import EventStream, run
 
 @dataclass(frozen=True)
 class WdmSpec:
-    """Detunings (ueV, relative to the bare line) of the two drive lasers,
-    which laser drives the early bin, and an optional locked relative phase
-    between the lasers (free-running per window when ``None``)."""
+    """Detunings (ueV, relative to the bare line) of the red laser, which
+    drives the early bin, and the blue laser, which drives the late bin,
+    plus an optional locked relative phase between the lasers
+    (free-running per window when ``None``)."""
 
     red_detuning: float = -9.55
     blue_detuning: float = 9.55
-    early_laser: LaserId = LaserId.RED
     locked_phase: float | None = None
 
     def violations(self) -> list[str]:
@@ -41,13 +42,6 @@ class WdmSpec:
             v.append("locked_phase: must be finite when set")
         return v
 
-    def detuning_of(self, laser: LaserId) -> float:
-        return self.red_detuning if laser is LaserId.RED else self.blue_detuning
-
-    @property
-    def late_laser(self) -> LaserId:
-        return LaserId.BLUE if self.early_laser is LaserId.RED else LaserId.RED
-
     @classmethod
     def for_splitting(cls, spin_splitting_uev: float,
                       locked_phase: float | None = None) -> "WdmSpec":
@@ -56,18 +50,11 @@ class WdmSpec:
         return cls(red_detuning=-half, blue_detuning=half,
                    locked_phase=locked_phase)
 
-    def swapped(self) -> "WdmSpec":
-        """Same colours, opposite bin assignment."""
-        return WdmSpec(red_detuning=self.red_detuning,
-                       blue_detuning=self.blue_detuning,
-                       early_laser=self.late_laser,
-                       locked_phase=self.locked_phase)
 
-
-def build_wdm_sequence(spec: WdmSpec | None = None, *, scale: float = 1.0) -> PulseSequence:
-    """Early-bin pi/2 pulse in one colour, late-bin pi pulse in the other
-    (red early, blue late by default; the late pulse is brighter to
-    compensate for ground-state depletion by the first pulse).
+def build_wdm_sequence(spec: WdmSpec | None = None) -> PulseSequence:
+    """Early-bin pi/2 pulse in red, late-bin pi pulse in blue (the late
+    pulse is brighter to compensate for ground-state depletion by the
+    first pulse).
 
     With no locked phase the sequence is flagged so each simulated window
     draws a fresh relative phase between the two lasers.
@@ -76,17 +63,13 @@ def build_wdm_sequence(spec: WdmSpec | None = None, *, scale: float = 1.0) -> Pu
     validate(spec)
     locked = spec.locked_phase is not None
     seq = PulseSequence(
-        n_bins=2,
         pulses=(
-            ResonantPulse(bin_index=0, intensity=scale * 1.0, phase=0.0,
-                          laser_id=spec.early_laser,
-                          detuning=spec.detuning_of(spec.early_laser)),
-            ResonantPulse(bin_index=1, intensity=scale * 4.0,
+            ResonantPulse(intensity=1.0, laser_id=LaserId.RED,
+                          detuning=spec.red_detuning),
+            ResonantPulse(intensity=4.0,
                           phase=spec.locked_phase if locked else 0.0,
-                          laser_id=spec.late_laser,
-                          detuning=spec.detuning_of(spec.late_laser)),
+                          laser_id=LaserId.BLUE, detuning=spec.blue_detuning),
         ),
-        reset_before=True,
         random_interlaser_phase=not locked,
     )
     validate(seq)
@@ -102,19 +85,14 @@ class WdmState:
 
 
 def wdm_state(spec: WdmSpec | None = None,
-              params: PhysicalParams | None = None, *,
-              scale: float = 1.0) -> WdmState:
+              params: PhysicalParams | None = None) -> WdmState:
     """Analytic state of the two-colour sequence, split by colour channel."""
     spec = spec or WdmSpec()
     params = params or PhysicalParams()
-    combined = generate_state(build_wdm_sequence(spec, scale=scale), params)
-    early_state = TimeBinState(p_early=combined.p_early, p_late=0.0)
-    late_state = TimeBinState(p_early=0.0, p_late=combined.p_late)
-    if spec.early_laser is LaserId.RED:
-        red, blue = early_state, late_state
-    else:
-        red, blue = late_state, early_state
-    return WdmState(red=red, blue=blue, combined=combined,
+    combined = generate_state(build_wdm_sequence(spec), params)
+    return WdmState(red=TimeBinState(p_early=combined.p_early, p_late=0.0),
+                    blue=TimeBinState(p_early=0.0, p_late=combined.p_late),
+                    combined=combined,
                     relative_phase_known=spec.locked_phase is not None)
 
 

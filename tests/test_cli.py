@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from timebinsim import EventStream, PhysicalParams, run, save_params, sequence_for_pgen
 from timebinsim import cli
@@ -58,10 +63,84 @@ def test_invalid_parameter_value_fails_validation(tmp_path, capsys):
     ["g2", "--calibrate-g2", "1.5"],
     ["g2", "--window", "0"],
     ["phase-qubits", "--scan-points", "3"],
+    ["simulate", "--seed", "-1"],
+    ["visibility-sweep", "--p-min", "2"],
+    ["visibility-sweep", "--p-max", "nan"],
+    ["visibility-sweep", "--t1", "0"],
+    ["visibility-sweep", "--t1", "inf"],
+    ["visibility-sweep", "--t1", "-5"],
+    ["visibility-sweep", "--points", "-1"],
+    ["visibility-sweep", "--mc-points", "-1"],
+    ["g2", "--scale", "inf"],
+    ["g2", "--calibrate-g2", "1e-17"],
 ])
 def test_bad_numeric_input_is_a_usage_error(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,target", [
+    ("--config", "missing.txt"),
+    ("--config", "."),
+    ("--out", "file"),
+    ("--out", "file/o"),
+])
+def test_bad_paths_are_usage_errors(tmp_path, capsys, flag, target):
+    (tmp_path / "file").write_text("kept\n")
+    # a repeated --out replaces the first one
+    assert main(["simulate", "--trajectories", "10", "--out", str(tmp_path / "o"),
+                 flag, str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+_SPECIALS = st.sampled_from(["nan", "inf", "-inf", "-0.0", "-1"])
+
+
+def _text(values):
+    """Argument text: one of ``values`` nine times in ten, else a special."""
+    return st.integers(0, 9).flatmap(
+        lambda k: _SPECIALS if k == 0 else values.map(str))
+
+
+def _ints(low: int, high: int):
+    return _text(st.integers(low, high))
+
+
+_FLOAT = _text(st.one_of(st.floats(0, 1), st.floats(-10, 10),
+                         st.floats(allow_nan=True, allow_infinity=True)))
+_FUZZ_FLAGS = {
+    "simulate": {"--p-gen": _FLOAT, "--phase2": _FLOAT},
+    "g2": {"--background": _FLOAT, "--calibrate-g2": _FLOAT, "--scale": _FLOAT,
+           "--window": _ints(-2, 6)},
+    "wdm": {"--locked-phase": _FLOAT, "--fwhm": _FLOAT, "--extinction": _FLOAT},
+    "visibility-sweep": {"--p-min": _FLOAT, "--p-max": _FLOAT,
+                         "--points": _ints(-2, 20), "--mc-points": _ints(-2, 2),
+                         "--t1": st.lists(_FLOAT, min_size=1, max_size=2).map(",".join)},
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.data())
+def test_fuzzed_numeric_flags_never_raise(data):
+    command = data.draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    # --flag=value, so that argparse takes a value such as -inf as the value
+    argv = [command, "--seed=" + data.draw(_ints(0, 2 ** 70)),
+            "--trajectories=" + data.draw(_ints(0, 20))]
+    if command == "visibility-sweep":
+        argv += ["--scan-points=4"]
+    for flag, values in _FUZZ_FLAGS[command].items():
+        if data.draw(st.booleans()):
+            argv += [f"{flag}={data.draw(values)}"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--out", os.path.join(tmp, "o")])
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_every_subcommand_documents_the_parameter_keys(capsys):

@@ -79,36 +79,31 @@ def test_load_params_validates(tmp_path):
 
 # -- pulse programs ---------------------------------------------------------
 
-def _pulse(bin_index=0, laser=LaserId.RED, **kw):
-    return ResonantPulse(bin_index=bin_index, intensity=1.0, laser_id=laser, **kw)
+def _pulse(laser=LaserId.RED, **kw):
+    return ResonantPulse(intensity=1.0, laser_id=laser, **kw)
 
 
 def test_sequence_round_trip():
-    seq = PulseSequence(n_bins=2, pulses=(_pulse(0), _pulse(1, phase=0.3)),
+    seq = PulseSequence(pulses=(_pulse(), _pulse(LaserId.BLUE, phase=0.3)),
                         random_interlaser_phase=True)
     validate(seq)
+    assert seq.n_bins == 2
     assert PulseSequence.from_dict(seq.to_dict()) == seq
 
 
-def test_sequence_rejects_double_booking():
-    seq = PulseSequence(n_bins=2, pulses=(_pulse(0), _pulse(0)))
-    with pytest.raises(ValidationError, match="pulses"):
-        validate(seq)
-    # a second colour does not make room for a second pulse in one bin
-    with pytest.raises(ValidationError, match="pulses"):
-        validate(PulseSequence(n_bins=2, pulses=(_pulse(0), _pulse(0, laser=LaserId.BLUE))))
-
-
-def test_sequence_rejects_out_of_range_bin():
-    seq = PulseSequence(n_bins=2, pulses=(_pulse(0), _pulse(5)))
-    with pytest.raises(ValidationError, match="pulses"):
-        validate(seq)
+def test_sequence_needs_exactly_two_pulses():
+    for pulses in ((_pulse(),), (_pulse(), _pulse(), _pulse())):
+        with pytest.raises(ValidationError, match="pulses: need two pulses"):
+            validate(PulseSequence(pulses=pulses))
 
 
 def test_negative_intensity_is_reported_with_bin_prefix():
-    seq = PulseSequence(n_bins=2, pulses=(ResonantPulse(bin_index=1, intensity=-2.0),))
+    seq = PulseSequence(pulses=(_pulse(), ResonantPulse(intensity=-2.0)))
     with pytest.raises(ValidationError, match=r"pulses\[1\].intensity"):
         validate(seq)
+    for bad in (math.inf, math.nan):
+        assert ResonantPulse(intensity=bad).violations() == [
+            "intensity: must be finite and >= 0"]
 
 
 # -- states -----------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from timebinsim import (LaserId, PhysicalParams, coherent_fraction,
+from timebinsim import (PhysicalParams, coherent_fraction,
                         derive_drive, excitation_probability,
                         expected_visibility, generate_state,
                         intensity_for_angle, rotation_angle, sequence_drives,
@@ -70,13 +70,10 @@ def test_derive_drive_bundles_consistently(params):
 
 
 def test_two_pulse_sequence_shape():
-    seq = two_pulse_sequence(scale=0.5, phase2=0.3, laser=LaserId.BLUE, detuning=2.0)
-    assert [p.bin_index for p in seq.pulses] == [0, 1]
+    seq = two_pulse_sequence(scale=0.5, phase2=0.3)
     assert seq.pulses[0].intensity == pytest.approx(0.5)
     assert seq.pulses[1].intensity == pytest.approx(2.0)  # 1:4 ratio preserved
     assert seq.pulses[1].phase == 0.3
-    assert all(p.laser_id is LaserId.BLUE and p.detuning == 2.0 for p in seq.pulses)
-    assert seq.reset_before
 
 
 def test_sequence_for_pgen_hits_requested_probability(params):

@@ -101,7 +101,6 @@ def test_michelson_is_invariant_under_a_global_drive_phase(clean_params):
     base = run(two_pulse_sequence(phase2=0.7), clean_params, 4000, seed=23)
     shifted = run(
         PulseSequence(
-            n_bins=2,
             pulses=tuple(replace(p, phase=p.phase + 1.234) for p in
                          two_pulse_sequence(phase2=0.7).pulses)),
         clean_params, 4000, seed=23)
@@ -112,10 +111,9 @@ def test_michelson_is_invariant_under_a_global_drive_phase(clean_params):
 
 
 def test_run_rejects_a_three_bin_sequence(clean_params):
-    seq = PulseSequence(n_bins=3, pulses=(
-        ResonantPulse(bin_index=0, intensity=1.0),
-        ResonantPulse(bin_index=1, intensity=1.0),
-        ResonantPulse(bin_index=2, intensity=4.0)))
+    seq = PulseSequence(pulses=(ResonantPulse(intensity=1.0),
+                                ResonantPulse(intensity=1.0),
+                                ResonantPulse(intensity=4.0)))
     with pytest.raises(ValidationError, match="pulses"):
         run(seq, clean_params, 2000, seed=24)
 

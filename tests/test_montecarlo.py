@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -105,7 +106,8 @@ def test_emission_times_follow_radiative_decay(clean_params):
 
 
 def test_coherent_energy_is_the_pulse_detuning(clean_params):
-    seq = two_pulse_sequence(detuning=-9.55)
+    seq = PulseSequence(pulses=tuple(replace(p, detuning=-9.55)
+                                     for p in two_pulse_sequence().pulses))
     stream = run(seq, clean_params, 4000, seed=6)
     coh = stream.subset(stream.origin_mask(Origin.COHERENT_RAMAN))
     assert np.all(coh.columns["energy_uev"] == -9.55)
@@ -140,9 +142,8 @@ def test_background_only_stream(clean_params):
 
 
 def test_silent_configuration_yields_empty_stream(clean_params):
-    seq = PulseSequence(n_bins=2, pulses=(
-        ResonantPulse(bin_index=0, intensity=0.0),
-        ResonantPulse(bin_index=1, intensity=0.0)))
+    seq = PulseSequence(pulses=(ResonantPulse(intensity=0.0),
+                                ResonantPulse(intensity=0.0)))
     stream = run(seq, clean_params, 1000, seed=9)
     assert len(stream) == 0
     assert len(run(two_pulse_sequence(), clean_params, 0, seed=9)) == 0
@@ -197,6 +198,18 @@ def test_binary_round_trip_restores_provenance(tmp_path, params):
         EventStream.from_binary(tmp_path / "junk.bin")
     whole = path.read_bytes()
     hlen = int.from_bytes(whole[4:8], "little")
+    # a header that still carries the retired two-bin keys loads unchanged
+    meta = json.loads(whole[8:8 + hlen])
+    meta["sequence"].update(n_bins=2, reset_before=True)
+    for i, pulse in enumerate(meta["sequence"]["pulses"]):
+        pulse["bin_index"] = i
+    header = json.dumps(meta, sort_keys=True).encode()
+    old = tmp_path / "old.bin"
+    old.write_bytes(b"TBQ1" + len(header).to_bytes(4, "little") + header
+                    + whole[8 + hlen:])
+    back = EventStream.from_binary(old)
+    assert _columns_equal(stream, back)
+    assert (back.params, back.sequence, back.seed) == (params, seq, 13)
     # cut inside the header length, the header, the count and the records
     for cut in (6, 8 + hlen // 2, 8 + hlen + 4, len(whole) - 1):
         short = tmp_path / f"short{cut}.bin"

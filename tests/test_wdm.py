@@ -24,8 +24,6 @@ def test_default_spec_straddles_the_spin_splitting():
     assert spec == WdmSpec.for_splitting(19.1)
     assert spec.red_detuning == -9.55
     assert spec.blue_detuning == 9.55
-    assert spec.early_laser is LaserId.RED
-    assert spec.late_laser is LaserId.BLUE
     assert spec.locked_phase is None
     assert spec.violations() == []
 
@@ -44,11 +42,8 @@ def test_spec_rejects_non_finite_locked_phase():
 
 def test_sequence_shape_free_running():
     seq = build_wdm_sequence()
-    assert seq.n_bins == 2
-    assert seq.reset_before
     assert seq.random_interlaser_phase
     first, second = seq.pulses
-    assert (first.bin_index, second.bin_index) == (0, 1)
     assert (first.intensity, second.intensity) == (1.0, 4.0)
     assert first.laser_id is LaserId.RED and second.laser_id is LaserId.BLUE
     assert first.detuning == -9.55 and second.detuning == 9.55
@@ -59,25 +54,6 @@ def test_sequence_shape_locked():
     seq = build_wdm_sequence(WdmSpec(locked_phase=0.3))
     assert not seq.random_interlaser_phase
     assert seq.pulses[1].phase == 0.3
-
-
-def test_sequence_scale_keeps_intensity_ratio():
-    seq = build_wdm_sequence(scale=0.5)
-    assert (seq.pulses[0].intensity, seq.pulses[1].intensity) == (0.5, 2.0)
-
-
-def test_swapped_spec_trades_bins_not_colors():
-    spec = WdmSpec()
-    sw = spec.swapped()
-    assert sw.early_laser is LaserId.BLUE
-    assert sw.late_laser is LaserId.RED
-    assert (sw.red_detuning, sw.blue_detuning) == (-9.55, 9.55)
-    assert sw.swapped() == spec
-    seq = build_wdm_sequence(sw)
-    assert seq.pulses[0].laser_id is LaserId.BLUE
-    assert seq.pulses[0].detuning == 9.55
-    assert seq.pulses[1].laser_id is LaserId.RED
-    assert seq.pulses[1].detuning == -9.55
 
 
 # -- analytic channel states ---------------------------------------------------
@@ -110,14 +86,6 @@ def test_locked_lasers_keep_the_cross_bin_coherence(clean_params):
     ws2 = wdm_state(WdmSpec(locked_phase=delta), clean_params)
     assert np.angle(ws2.combined.coherence) == pytest.approx(-delta, abs=1e-12)
     assert abs(ws2.combined.coherence) == pytest.approx(IDEAL_COHERENCE, abs=1e-12)
-
-
-def test_swapped_channels_carry_the_opposite_bins(clean_params):
-    ws = wdm_state(WdmSpec().swapped(), clean_params)
-    assert ws.red.p_early == 0.0
-    assert ws.red.p_late == pytest.approx(0.5, abs=1e-12)
-    assert ws.blue.p_early == pytest.approx(0.5, abs=1e-12)
-    assert ws.blue.p_late == 0.0
 
 
 # -- demultiplexing reports ----------------------------------------------------
@@ -154,19 +122,6 @@ def test_blue_filter_recovers_the_late_bin(clean_report):
     assert row.late_frac >= 0.99
     assert abs(row.late_frac - BLUE_FILTER_LATE_FRACTION) < binom_3sigma(
         BLUE_FILTER_LATE_FRACTION, row.transmitted)
-
-
-def test_swapping_the_bin_assignment_swaps_the_channels(clean_params):
-    report = recovery_report(WdmSpec().swapped(), clean_params,
-                             n_trajectories=30_000, seed=11)
-    red, blue = report.row("red"), report.row("blue")
-    # red now carries the late (pi-pulse) bin, so it matches the blue oracle
-    assert abs(red.late_frac - BLUE_FILTER_LATE_FRACTION) < binom_3sigma(
-        BLUE_FILTER_LATE_FRACTION, red.transmitted)
-    assert abs(red.transmitted / red.total - BLUE_FILTER_TRANSMISSION) < \
-        binom_3sigma(BLUE_FILTER_TRANSMISSION, red.total)
-    assert abs(blue.early_frac - RED_FILTER_EARLY_FRACTION) < binom_3sigma(
-        RED_FILTER_EARLY_FRACTION, blue.transmitted)
 
 
 def test_report_reanalyzes_a_given_stream(clean_params):
