@@ -91,7 +91,19 @@ def test_sequence_round_trip():
     assert PulseSequence.from_dict(seq.to_dict()) == seq
 
 
-def test_sequence_needs_exactly_two_pulses():
+def test_sequence_rejects_double_booking():
+    # two bins hold two pulses; a third would share a bin with another
+    seq = PulseSequence(pulses=(_pulse(), _pulse(), _pulse()))
+    with pytest.raises(ValidationError, match="pulses: need two pulses"):
+        validate(seq)
+    # a second colour does not make room for a second pulse in one bin
+    with pytest.raises(ValidationError, match="pulses: need two pulses"):
+        validate(PulseSequence(pulses=(_pulse(), _pulse(), _pulse(LaserId.BLUE))))
+
+
+def test_sequence_rejects_out_of_range_bin():
+    # a pulse's position is its bin: positions past (early, late) are out of
+    # range, and a single pulse leaves the late bin without one
     for pulses in ((_pulse(),), (_pulse(), _pulse(), _pulse())):
         with pytest.raises(ValidationError, match="pulses: need two pulses"):
             validate(PulseSequence(pulses=pulses))
