@@ -9,11 +9,11 @@ from .dynamics import (coherent_fraction, derive_drive, excitation_probability,
                        expected_visibility, generate_state, intensity_for_angle,
                        rotation_angle, sequence_drives, sequence_for_pgen,
                        two_pulse_sequence, visibility_curve)
-from .measurement import (FringeScan, HbtResult, Histogram, MichelsonResult,
+from .measurement import (FringeScan, HbtResult, MichelsonResult,
                           background_rate_for_g2, calibrate_background_for_g2,
                           filter_transmission, fringe_scan, gate, hbt_g2,
                           michelson, michelson_expected, reject_reset_light,
-                          spectral_filter, time_histogram)
+                          spectral_filter)
 from .montecarlo import EventStream, Origin, run
 from .tomography import (FringeFit, bloch_of_state, direction_fidelity,
                          fidelity, fit_fringe, qubit_phase, reconstruct,
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlochVector", "ConfigError", "EventStream", "FringeFit", "FringeScan",
-    "HbtResult", "Histogram", "InsufficientStatisticsError", "LaserId",
+    "HbtResult", "InsufficientStatisticsError", "LaserId",
     "MichelsonResult", "Origin", "PhysicalParams",
     "PulseSequence", "RecoveryReport", "ResonantPulse", "TimeBinState",
     "ValidationError", "WdmSpec", "WdmState", "background_rate_for_g2",
@@ -38,7 +38,7 @@ __all__ = [
     "reconstruct", "recovery_report", "reject_reset_light", "rotation_angle",
     "run",
     "save_params", "sequence_drives", "sequence_for_pgen",
-    "spectral_filter", "time_histogram",
+    "spectral_filter",
     "two_pulse_sequence", "unwrap_phases", "validate", "visibility_curve",
     "wdm_state", "write_states_csv",
 ]

@@ -8,7 +8,8 @@ once all of them and the sidecar are written, so a failed run leaves no
 partial output behind.
 
 Exit codes: 0 success, 2 configuration or validation problem, 3 a
-statistics-dependent result could not be computed from the events.
+statistics-dependent result could not be computed from the events; a run
+stopped by SIGTERM exits 143 and also leaves no partial output.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ import json
 import math
 import os
 import shutil
+import signal
 import sys
 import tempfile
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -383,6 +386,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
+    # SIGTERM unwinds through the finally that discards the staged files.
+    previous = (signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+                if threading.current_thread() is threading.main_thread() else None)
     out = None
     try:
         out = _OutDir(args.out)
@@ -396,6 +402,8 @@ def main(argv=None) -> int:
     finally:
         if out is not None:
             out.discard()
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def entry_point() -> None:

@@ -1,4 +1,4 @@
-"""Detection-side models: delay interferometer, filters, histograms, HBT.
+"""Detection-side models: gating, delay interferometer, filters, HBT.
 
 The unbalanced Michelson interferometer has a fixed arm-length difference
 equal to the bin separation.  On the monitored output port each photon is
@@ -19,6 +19,10 @@ the smaller of the two coherent fractions), so the overlap fringe carries a
 visibility of ``C_min`` times the spin-dephasing envelope.  Incoherent,
 background and flash photons never interfere.
 
+One routing kernel gives every event its slot or loses it.  :func:`michelson`
+builds the stream of detections from the slots; :func:`fringe_scan` only
+counts them, so a scan setpoint copies and sorts no events.
+
 All randomness is drawn from substreams derived from the event stream's
 master seed, so every measurement is reproducible and independent
 measurements on the same stream do not perturb one another.
@@ -26,7 +30,7 @@ measurements on the same stream do not perturb one another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -57,39 +61,8 @@ def _substream(*entropy: int) -> Generator:
 
 
 # ---------------------------------------------------------------------------
-# Histograms and gating
+# Gating
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Histogram:
-    bin_edges: np.ndarray  # length n+1, ps
-    counts: np.ndarray  # length n
-    metadata: dict = field(default_factory=dict)  # e.g. source seed, n_trajectories
-
-    def to_csv(self, path) -> None:
-        rows = [(float(self.bin_edges[i]), float(self.bin_edges[i + 1]),
-                 int(self.counts[i])) for i in range(len(self.counts))]
-        write_csv(path, "bin_start_ps,bin_end_ps,counts", rows)
-
-
-def time_histogram(stream: EventStream | np.ndarray, bin_width_ps: float = 25.0,
-                   t_min: float = 0.0, t_max: float | None = None) -> Histogram:
-    """Arrival-time histogram with uniform bins of ``bin_width_ps``."""
-    meta = {}
-    if isinstance(stream, EventStream):
-        t = stream.columns["timestamp_ps"]
-        meta = {"seed": stream.seed, "n_trajectories": stream.n_trajectories}
-    else:
-        t = np.asarray(stream, float)
-    if bin_width_ps <= 0:
-        raise ValueError("bin_width_ps must be > 0")
-    if t_max is None:
-        t_max = float(t.max()) + bin_width_ps if t.size else t_min + bin_width_ps
-    n = max(1, int(np.ceil((t_max - t_min) / bin_width_ps)))
-    edges = t_min + bin_width_ps * np.arange(n + 1)
-    counts, _ = np.histogram(t, bins=edges)
-    return Histogram(bin_edges=edges, counts=counts, metadata=meta)
-
 
 def gate(stream: EventStream, start_ps: float, stop_ps: float) -> EventStream:
     """Keep events with ``start_ps <= t < stop_ps``."""
@@ -107,13 +80,13 @@ def gate(stream: EventStream, start_ps: float, stop_ps: float) -> EventStream:
 SLOT_SIDE_EARLY = 0
 SLOT_MIDDLE = 1
 SLOT_SIDE_LATE = 2
+_SLOT_LOST = 3  # the unmonitored port, or undetected in the overlap slot
 
 
 @dataclass
 class MichelsonResult:
     detections: EventStream
     slots: np.ndarray  # int8 per detection, SLOT_* above
-    interferometer_phase: float
     n_input: int
 
     @property
@@ -125,66 +98,70 @@ class MichelsonResult:
         return self.n_input - self.n_detected
 
     def slot_counts(self) -> tuple[int, int, int]:
-        return (int(np.sum(self.slots == SLOT_SIDE_EARLY)),
-                int(np.sum(self.slots == SLOT_MIDDLE)),
-                int(np.sum(self.slots == SLOT_SIDE_LATE)))
+        """Detections in (early side, middle, late side)."""
+        return tuple(int(c) for c in np.bincount(self.slots, minlength=3))
 
-    def histogram(self, bin_width_ps: float = 25.0) -> Histogram:
-        """Three-peak time histogram of the detected events."""
-        return time_histogram(self.detections, bin_width_ps=bin_width_ps)
+
+def _routing_inputs(stream: EventStream) -> tuple[np.ndarray, ...]:
+    """Per-event routing inputs, the same at every setpoint: the SLOT_SIDE_*
+    of the event's own bin (int8), the probability C_min / C_own that it
+    stays locked to both pulses (0 unless coherent), and the cross-bin phase
+    it then carries, early-bin amplitude phase minus late-bin phase."""
+    cols = stream.columns
+    phases = cols["phase_rad"]
+    late = cols["bin_index"] >= 1
+    drives = sequence_drives(stream.sequence, stream.params)
+    cfrac = np.array([d.coherent_fraction for d in drives])
+    early_phase, late_phase = (p.phase for p in stream.sequence.pulses)
+    coherent = cols["origin"] == CODE_BY_ORIGIN[Origin.COHERENT_RAMAN]
+    lock_p = np.where(coherent, cfrac.min() / cfrac[late.astype(np.intp)], 0.0)
+    dphi = np.where(late, early_phase - phases, phases - late_phase)
+    own_side = np.where(late, np.int8(SLOT_SIDE_LATE), np.int8(SLOT_SIDE_EARLY))
+    return own_side, lock_p, dphi
+
+
+def _route(own_side: np.ndarray, lock_p: np.ndarray, dphi: np.ndarray,
+           seed: int, interferometer_phase: float, salt: int) -> np.ndarray:
+    """Slot of every event (``SLOT_*`` or ``_SLOT_LOST``) as int8.
+
+    Each event takes a row of four uniforms from the substream keyed on
+    (seed, phase, salt): [0] routes it ([0, 1/4) own side peak, [1/4, 3/4)
+    overlap slot, the rest lost), [1] decides the lock, [2] the detection
+    in the overlap slot and [3] the wash phase of an unlocked event.
+    """
+    rng = _substream(seed, _TAG_MICHELSON, _bits(interferometer_phase), salt)
+    u = rng.random((len(own_side), 4))
+    side = u[:, 0] < 0.25
+    slot = np.where(side, own_side, np.int8(_SLOT_LOST))
+    overlap = np.flatnonzero(~side & (u[:, 0] < 0.75))
+    uo = u[overlap]
+    phase_term = np.where(uo[:, 1] < lock_p[overlap], dphi[overlap],
+                          _TWO_PI * uo[:, 3])
+    p_detect = 0.5 * (1.0 + np.cos(phase_term + interferometer_phase))
+    slot[overlap[uo[:, 2] < p_detect]] = SLOT_MIDDLE
+    return slot
 
 
 def michelson(stream: EventStream, interferometer_phase: float = 0.0, *,
               salt: int = 0) -> MichelsonResult:
-    """Send every event through the delay interferometer at a fixed phase."""
-    params = stream.params
-    delay_ps = params.bin_separation_ps
-    n = len(stream)
-    cols = stream.columns
-    t = cols["timestamp_ps"]
-    phases = cols["phase_rad"]
-    late_like = cols["bin_index"] >= 1
+    """Send every event through the delay interferometer at a fixed phase.
 
-    # Per-event interference: a coherent photon stays locked to both pulses
-    # with probability C_min / C_own and then carries the cross-bin phase,
-    # early-bin amplitude phase minus late-bin amplitude phase.
-    drives = sequence_drives(stream.sequence, params)
-    cfrac = np.array([d.coherent_fraction for d in drives])
-    early_phase, late_phase = (p.phase for p in stream.sequence.pulses)
-    coherent = cols["origin"] == CODE_BY_ORIGIN[Origin.COHERENT_RAMAN]
-    thin_p = np.where(coherent, cfrac.min() / cfrac[late_like.astype(np.intp)], 0.0)
-    dphi = np.where(late_like, early_phase - phases, phases - late_phase)
-
-    rng = _substream(stream.seed, _TAG_MICHELSON, _bits(interferometer_phase), salt)
-    u = rng.random((n, 4))
-    interferes = u[:, 1] < thin_p
-
-    # Route: [0, 1/4) own side peak, [1/4, 3/4) overlap slot, rest lost.
-    side = u[:, 0] < 0.25
-    overlap = (u[:, 0] >= 0.25) & (u[:, 0] < 0.75)
-
-    side_time = t + delay_ps * late_like
-    overlap_time = t + delay_ps * (~late_like)
-
-    phase_term = np.where(interferes, dphi, _TWO_PI * u[:, 3])
-    p_detect = 0.5 * (1.0 + np.cos(phase_term + interferometer_phase))
-    hit_middle = overlap & (u[:, 2] < p_detect)
-
-    keep = side | hit_middle
-    det_time = np.where(side, side_time, overlap_time)[keep]
-    slot = np.where(
-        side, np.where(late_like, SLOT_SIDE_LATE, SLOT_SIDE_EARLY), SLOT_MIDDLE
-    )[keep].astype(np.int8)
-
-    out_cols = {k: v[keep] for k, v in cols.items()}
-    out_cols["timestamp_ps"] = det_time
-    detections = EventStream(params=params, sequence=stream.sequence,
-                             seed=stream.seed, n_trajectories=stream.n_trajectories,
-                             columns=out_cols)
+    The detections form a stream of their own, in stream order, each
+    delayed by the arm it took; ``slots`` names each detection's slot.
+    """
+    own_side, lock_p, dphi = _routing_inputs(stream)
+    slot = _route(own_side, lock_p, dphi, stream.seed, interferometer_phase, salt)
+    keep = slot != _SLOT_LOST
+    # The long arm delays a side-peak photon from the late bin and an
+    # overlap photon from the early bin.
+    delayed = ((slot == SLOT_SIDE_LATE)
+               | ((slot == SLOT_MIDDLE) & (own_side == SLOT_SIDE_EARLY)))[keep]
+    detections = stream.subset(keep)
+    cols = detections.columns
+    cols["timestamp_ps"] = cols["timestamp_ps"] + stream.params.bin_separation_ps * delayed
     order = detections._sort()
-    return MichelsonResult(detections=detections, slots=slot[order],
-                           interferometer_phase=float(interferometer_phase),
-                           n_input=n)
+    return MichelsonResult(detections=detections, slots=slot[keep][order],
+                           n_input=len(stream))
 
 
 def michelson_expected(state: TimeBinState, interferometer_phase: float,
@@ -214,8 +191,8 @@ class FringeScan:
     n_input: np.ndarray
 
     def to_csv(self, path) -> None:
-        rows = [(float(self.phases[i]), int(self.middle_counts[i]),
-                 int(self.side_counts[i])) for i in range(len(self.phases))]
+        rows = zip(self.phases.tolist(), self.middle_counts.tolist(),
+                   self.side_counts.tolist())
         write_csv(path, "phase_rad,middle_counts,side_counts", rows)
 
 
@@ -233,7 +210,7 @@ def fringe_scan(source: EventStream | PulseSequence, phases, *,
                 params: PhysicalParams | None = None,
                 n_trajectories: int | None = None,
                 seed: int | None = None, salt: int = 0) -> FringeScan:
-    """Middle-slot counts versus interferometer phase.
+    """Middle- and side-slot counts versus interferometer phase.
 
     With an :class:`EventStream` source the same recorded events are
     re-measured at every setpoint (fresh detection randomness each time).
@@ -241,27 +218,29 @@ def fringe_scan(source: EventStream | PulseSequence, phases, *,
     ``n_trajectories`` windows is acquired per setpoint, as in a live scan;
     ``params``, ``n_trajectories`` and ``seed`` are then required.  Reset
     light never reaches the interferometer (see :func:`reject_reset_light`).
+
+    Each setpoint counts the slots that ``michelson(reject_reset_light(stream),
+    phase, salt=salt)`` detects, from the same draws.
     """
     phases = np.atleast_1d(np.asarray(phases, float))
     if phases.size < 4:
         raise ValueError("a fringe scan needs at least 4 phase setpoints")
+    recorded = isinstance(source, EventStream)
+    if not recorded and (params is None or n_trajectories is None or seed is None):
+        raise ValueError("sequence source requires params, n_trajectories and seed")
 
-    middles, sides, n_in = [], [], []
+    counts = np.empty((phases.size, _SLOT_LOST + 1), np.int64)
     for k, phi in enumerate(phases):
-        if isinstance(source, EventStream):
-            stream = source
-        else:
-            if params is None or n_trajectories is None or seed is None:
-                raise ValueError("sequence source requires params, n_trajectories and seed")
-            stream = run(source, params, n_trajectories,
-                         derived_seed(seed, _TAG_FRINGE, k))
-        result = michelson(reject_reset_light(stream), float(phi), salt=salt)
-        early, mid, late = result.slot_counts()
-        middles.append(mid)
-        sides.append(early + late)
-        n_in.append(result.n_input)
-    return FringeScan(phases=phases, middle_counts=np.array(middles),
-                      side_counts=np.array(sides), n_input=np.array(n_in))
+        if k == 0 or not recorded:  # a recorded stream is prepared once
+            stream = source if recorded else run(source, params, n_trajectories,
+                                                 derived_seed(seed, _TAG_FRINGE, k))
+            keep = ~stream.origin_mask(Origin.RESET_FLASH)
+            routing = [a[keep] for a in _routing_inputs(stream)]
+        slots = _route(*routing, stream.seed, float(phi), salt)
+        counts[k] = np.bincount(slots, minlength=_SLOT_LOST + 1)
+    return FringeScan(phases=phases, middle_counts=counts[:, SLOT_MIDDLE],
+                      side_counts=counts[:, SLOT_SIDE_EARLY] + counts[:, SLOT_SIDE_LATE],
+                      n_input=counts.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +248,11 @@ def fringe_scan(source: EventStream | PulseSequence, phases, *,
 # ---------------------------------------------------------------------------
 
 def lorentzian_line(energy_uev, center_uev: float, fwhm_uev: float):
-    """Unit-peak Lorentzian passband, one pass."""
-    x = 2.0 * (np.asarray(energy_uev, float) - center_uev) / fwhm_uev
+    """Unit-peak Lorentzian passband, one pass: ``1 / (1 + x**2)`` with
+    ``x = 2 (E - center) / fwhm``.  ``|x|`` is capped at ``2**501``, where
+    the line is already below ``2**-1000``, so nothing overflows."""
+    cap = 2.0 ** 500 * abs(float(fwhm_uev))  # a Python float: inf, no warning
+    x = 2.0 * np.clip(np.asarray(energy_uev, float) - center_uev, -cap, cap) / fwhm_uev
     return 1.0 / (1.0 + x * x)
 
 
@@ -384,31 +366,38 @@ def calibrate_background_for_g2(sequence: PulseSequence, params: PhysicalParams,
     deterministic.  Streams are prepared as in the experiment (reset light
     rejected, events gated to their own window) before correlating.  The
     analytic rate from :func:`background_rate_for_g2` seeds the upper
-    bracket.
+    bracket.  A target below one expected zero-lag coincidence at the
+    bracket's upper end raises :class:`InsufficientStatisticsError`.
     """
     if not 0 < target_g2 < 1:
         raise ValueError("target_g2 must lie in (0, 1)")
 
-    def measured(rate: float) -> float:
+    def measured(rate: float) -> HbtResult:
         p = replace(params, background_rate=rate)
         stream = run(sequence, p, n_trajectories, seed)
         prepared = gate(reject_reset_light(stream), 0.0,
                         p.window_ps(sequence.n_bins))
-        return hbt_g2(prepared, window=window).zero_lag
+        return hbt_g2(prepared, window=window)
 
     lo, hi = 0.0, 4.0 * background_rate_for_g2(1.0, target_g2)
     if hi == 0.0:  # the bracket below could never grow from zero
         raise ValidationError([f"target_g2: {target_g2!r} is too small to "
                                "resolve a background rate"])
-    while measured(hi) < target_g2:
+    while (at_hi := measured(hi)).zero_lag < target_g2:
         hi *= 2.0
         if hi > 1.0:
             raise InsufficientStatisticsError(
                 "could not bracket the target g2 within the supported "
                 "background-rate range")
+    # At the target, g2(0) * norm is the expected number of zero-lag
+    # coincidences; below one, the run cannot tell the target from zero.
+    if target_g2 * at_hi.norm < 1.0:
+        raise InsufficientStatisticsError(
+            f"target g2 {target_g2!r} expects {target_g2 * at_hi.norm:.3g} "
+            f"zero-lag coincidences in {n_trajectories} windows, fewer than 1")
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if measured(mid) < target_g2:
+        if measured(mid).zero_lag < target_g2:
             lo = mid
         else:
             hi = mid

@@ -3,7 +3,11 @@ import io
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -304,3 +308,39 @@ def test_phase_qubits_without_photons_fails_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []  # neither --out nor its staging area
+
+
+def test_g2_calibration_below_one_coincidence_fails_cleanly(tmp_path, capsys):
+    assert main(["g2", "--calibrate-g2", "1e-15", "--trajectories", "2000",
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wdm_with_a_subnormal_fwhm_does_not_overflow(tmp_path, capsys):
+    assert main(["wdm", "--fwhm", "5e-324", "--trajectories", "300",
+                 "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+
+
+def test_sigterm_discards_the_staged_output(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "timebinsim.cli", "g2", "--calibrate-g2", "0.01",
+         "--trajectories", "200000", "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not os.listdir(tmp_path):  # wait for the staging directory
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode != 0
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []

@@ -10,9 +10,12 @@ from timebinsim import (InsufficientStatisticsError, Origin, PulseSequence,
                         calibrate_background_for_g2, filter_transmission,
                         fringe_scan, gate, hbt_g2, michelson,
                         michelson_expected, reject_reset_light, run,
-                        spectral_filter, time_histogram, two_pulse_sequence)
-from timebinsim.measurement import (SLOT_MIDDLE, SLOT_SIDE_EARLY,
-                                    SLOT_SIDE_LATE, lorentzian_line)
+                        sequence_for_pgen, spectral_filter,
+                        two_pulse_sequence)
+from timebinsim.measurement import (_SLOT_LOST, _TAG_FRINGE, SLOT_MIDDLE,
+                                    SLOT_SIDE_EARLY, SLOT_SIDE_LATE, _route,
+                                    _routing_inputs, lorentzian_line)
+from timebinsim.montecarlo import derived_seed
 
 from oracle_values import (L2_AT_FULL_SPLIT, L2_AT_HALF_WIDTH, L2_AT_SPLIT,
                            LAMBDA_G2_001_P_HALF)
@@ -23,19 +26,14 @@ def photon_stream(clean_params):
     return run(two_pulse_sequence(), clean_params, 6000, seed=21)
 
 
-# -- histograms and gating ----------------------------------------------------
+@pytest.fixture
+def stray_stream(params):
+    """Reset flash and background on top of a partly prepared spin."""
+    return run(sequence_for_pgen(0.6, phase2=0.9),
+               replace(params, background_rate=0.2), 6000, seed=30)
 
-def test_time_histogram_counts_everything(photon_stream, tmp_path):
-    h = time_histogram(photon_stream, bin_width_ps=25.0)
-    assert h.counts.sum() == len(photon_stream)
-    assert np.all(np.diff(h.bin_edges) > 0)
-    assert len(h.counts) == len(h.bin_edges) - 1
-    assert h.metadata["seed"] == photon_stream.seed
-    assert h.metadata["n_trajectories"] == photon_stream.n_trajectories
-    out = tmp_path / "hist.csv"
-    h.to_csv(out)
-    assert out.read_text().splitlines()[0] == "bin_start_ps,bin_end_ps,counts"
 
+# -- gating -------------------------------------------------------------------
 
 def test_gate_half_open_interval(photon_stream):
     full = gate(photon_stream, 0.0, float("inf"))
@@ -79,11 +77,12 @@ def test_michelson_expected_plus_state():
 
 def test_michelson_histogram_three_peaks(photon_stream):
     res = michelson(photon_stream, 0.0)
-    h = res.histogram(bin_width_ps=100.0)
-    assert h.counts.sum() == res.n_detected
+    t = res.detections.columns["timestamp_ps"]
+    counts, edges = np.histogram(t, bins=np.arange(0.0, t.max() + 200.0, 100.0))
+    assert counts.sum() == res.n_detected
     # early side peak near 0, overlap near 1500 ps, late side near 3000 ps
-    centers = 0.5 * (h.bin_edges[:-1] + h.bin_edges[1:])
-    occupied = centers[h.counts > 0]
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    occupied = centers[counts > 0]
     assert occupied.min() < 1000
     assert occupied.max() > 2500
 
@@ -118,6 +117,23 @@ def test_run_rejects_a_three_bin_sequence(clean_params):
         run(seq, clean_params, 2000, seed=24)
 
 
+def test_routing_kernel_slots_are_the_michelson_slots(stray_stream):
+    stream = stray_stream
+    slot = _route(*_routing_inputs(stream), stream.seed, 0.8, 5)
+    res = michelson(stream, 0.8, salt=5)
+    detected = slot != _SLOT_LOST
+    assert res.n_input == len(stream) and res.n_detected == int(detected.sum())
+    # detection order: the long arm delays late-bin side-peak photons and
+    # early-bin overlap photons
+    cols = stream.columns
+    late = cols["bin_index"] >= 1
+    delayed = np.where(slot == SLOT_MIDDLE, ~late, late)
+    t = cols["timestamp_ps"] + stream.params.bin_separation_ps * delayed
+    order = np.lexsort((t[detected], cols["trajectory_id"][detected]))
+    assert np.array_equal(slot[detected][order], res.slots)
+    assert np.array_equal(t[detected][order], res.detections.columns["timestamp_ps"])
+
+
 def test_michelson_detection_is_reproducible(photon_stream):
     a = michelson(photon_stream, 0.2)
     b = michelson(photon_stream, 0.2)
@@ -148,6 +164,41 @@ def test_fringe_scan_csv(photon_stream, tmp_path):
     assert len(lines) == 9
 
 
+def _michelson_counts(stream, phases, salt):
+    """(middle, sides, n_input) per setpoint, from full michelson runs."""
+    rows = []
+    for phi in phases:
+        res = michelson(reject_reset_light(stream), float(phi), salt=salt)
+        early, middle, late = res.slot_counts()
+        rows.append((middle, early + late, res.n_input))
+    return rows
+
+
+def _scan_counts(scan):
+    return list(zip(scan.middle_counts.tolist(), scan.side_counts.tolist(),
+                    scan.n_input.tolist()))
+
+
+def test_fringe_scan_counts_what_michelson_detects(stray_stream):
+    assert stray_stream.origin_mask(Origin.RESET_FLASH).any()
+    assert stray_stream.origin_mask(Origin.BACKGROUND).any()
+    phases = np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)
+    scan = fringe_scan(stray_stream, phases, salt=11)
+    assert _scan_counts(scan) == _michelson_counts(stray_stream, phases, 11)
+
+
+def test_live_fringe_scan_counts_what_michelson_detects(params):
+    seq = sequence_for_pgen(0.6, phase2=0.9)
+    noisy = replace(params, background_rate=0.2)
+    phases = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
+    scan = fringe_scan(seq, phases, params=noisy, n_trajectories=3000,
+                       seed=31, salt=4)
+    expected = [_michelson_counts(
+        run(seq, noisy, 3000, derived_seed(31, _TAG_FRINGE, k)), [phi], 4)[0]
+        for k, phi in enumerate(phases)]
+    assert _scan_counts(scan) == expected
+
+
 def test_fringe_scan_modulates_middle_counts(photon_stream):
     scan = fringe_scan(photon_stream, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
     bright, dark = scan.middle_counts[0], scan.middle_counts[2]
@@ -166,6 +217,21 @@ def test_filter_transmission_frozen_values():
         pytest.approx(L2_AT_FULL_SPLIT, abs=1e-15)
     # the leakage floor takes over once the line has fallen below it
     assert filter_transmission(19.1, 0.0, 5.0, extinction=1e-3) == 1e-3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fwhm", [5e-324, 2.2250738585072014e-308, 1e-200,
+                                  5.0, 1e308])
+def test_lorentzian_line_never_overflows(fwhm):
+    line = lorentzian_line(np.array([0.0, 1.0, -1.4e5, 1e300]), 0.0, fwhm)
+    assert line[0] == 1.0
+    assert np.all((line >= 0.0) & (line <= 1.0))
+    assert filter_transmission(0.0, 0.0, fwhm) == 1.0
+
+
+def test_lorentzian_cap_leaves_the_line_below_it_alone():
+    assert lorentzian_line(2.0 ** 499, 0.0, 1.0) == 1.0 / (1.0 + 2.0 ** 1000)
+    assert 0.0 < lorentzian_line(2.0 ** 510, 0.0, 1.0) <= 2.0 ** -1000
 
 
 def test_filter_transmission_monotone_in_detuning():
