@@ -47,8 +47,11 @@ _TAG_FRINGE = 0x4652
 
 _TWO_PI = 2.0 * np.pi
 
-# Halvings of the background-rate bracket in calibrate_background_for_g2.
+# Halvings of the background-rate bracket in calibrate_background_for_g2,
+# and doublings past its start 4*background_rate_for_g2(1, target), which
+# over-estimates the rate already, since g2(0) falls as p rises.
 _BISECTION_STEPS = 14
+_BRACKET_DOUBLINGS = 4
 
 
 def _bits(x: float) -> int:
@@ -367,7 +370,8 @@ def calibrate_background_for_g2(sequence: PulseSequence, params: PhysicalParams,
     rejected, events gated to their own window) before correlating.  The
     analytic rate from :func:`background_rate_for_g2` seeds the upper
     bracket.  A target below one expected zero-lag coincidence at the
-    bracket's upper end raises :class:`InsufficientStatisticsError`.
+    bracket's start, or beyond its reach, raises
+    :class:`InsufficientStatisticsError`.
     """
     if not 0 < target_g2 < 1:
         raise ValueError("target_g2 must lie in (0, 1)")
@@ -383,18 +387,23 @@ def calibrate_background_for_g2(sequence: PulseSequence, params: PhysicalParams,
     if hi == 0.0:  # the bracket below could never grow from zero
         raise ValidationError([f"target_g2: {target_g2!r} is too small to "
                                "resolve a background rate"])
-    while (at_hi := measured(hi)).zero_lag < target_g2:
-        hi *= 2.0
-        if hi > 1.0:
-            raise InsufficientStatisticsError(
-                "could not bracket the target g2 within the supported "
-                "background-rate range")
     # At the target, g2(0) * norm is the expected number of zero-lag
     # coincidences; below one, the run cannot tell the target from zero.
+    # norm grows with the rate, so the over-estimated start bounds it.
+    at_hi = measured(hi)
     if target_g2 * at_hi.norm < 1.0:
         raise InsufficientStatisticsError(
             f"target g2 {target_g2!r} expects {target_g2 * at_hi.norm:.3g} "
             f"zero-lag coincidences in {n_trajectories} windows, fewer than 1")
+    for _ in range(_BRACKET_DOUBLINGS):
+        if at_hi.zero_lag >= target_g2:
+            break
+        hi *= 2.0
+        at_hi = measured(hi)
+    if at_hi.zero_lag < target_g2:
+        raise InsufficientStatisticsError(
+            f"could not bracket the target g2 within {2 ** _BRACKET_DOUBLINGS} "
+            "times the analytic over-estimate of its background rate")
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if measured(mid).zero_lag < target_g2:

@@ -16,10 +16,10 @@ that emitted it.  On emission the photon is tagged with its origin:
 Uncorrelated background counts (uniform arrival time, random phase, broad
 energy) are overlaid per window with mean ``background_rate``.
 
-Determinism contract: every trajectory owns a fixed-width block of the
-Philox counter space derived from the master seed (trajectory ``i`` uses
-draws ``[i*K, (i+1)*K)``, ``K = 72`` for every sequence), so results are
-bit-identical for any chunk size or execution order.
+Determinism contract: trajectory ``i`` uses draws ``[i*K, (i+1)*K)``,
+``K = 12``, of the Philox stream of the master seed, and counter tick ``i``
+of the substream ``(seed, kind, j)`` for its ``j``-th stray event of each
+kind, so results are bit-identical for any chunk size or execution order.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import ndtri
+from scipy.special import ndtri, pdtr
 
 from .core import (LaserId, PhysicalParams, PulseSequence, ValidationError,
                    validate)
@@ -41,12 +41,9 @@ from .dynamics import sequence_drives
 # (~850 nm pump against ~940 nm emission, i.e. roughly +0.14 eV).
 RESET_FLASH_ENERGY_UEV = 1.396e5
 
-# Capacity of the per-trajectory draw block for Poisson-distributed event
-# counts.  Counts are sampled by inverted CDF truncated at the cap; for the
-# supported rates (<= 1 per window) the truncated tail is < 1e-10.
-_FLASH_CAP = 12
-_BG_CAP = 16
-_MAX_RATE = 1.0
+# Each j-th stray event costs a keyed substream per chunk, so millions per
+# window would run for hours; 2**16 lies far above every physical rate.
+_MAX_STRAY_MEAN = 2.0 ** 16
 
 _TWO_PI = 2.0 * np.pi
 
@@ -218,12 +215,8 @@ _INC_PHASE = 7
 _INC_ENERGY = 8
 _INTERLASER = 9
 _FLASH_COUNT = 10
-_FLASH0 = 11
-_BG_COUNT = _FLASH0 + _FLASH_CAP
-_BG_T0 = _BG_COUNT + 1
-_BG_PHASE0 = _BG_T0 + _BG_CAP
-_BG_ENERGY0 = _BG_PHASE0 + _BG_CAP
-_WIDTH = _BG_ENERGY0 + _BG_CAP  # 72
+_BG_COUNT = 11
+_WIDTH = 12
 
 
 def derived_seed(*entropy: int) -> int:
@@ -231,16 +224,13 @@ def derived_seed(*entropy: int) -> int:
     return int(SeedSequence([int(e) for e in entropy]).generate_state(1, np.uint64)[0])
 
 
-def _poisson_cdf(rate: float, cap: int) -> np.ndarray:
-    """P(N <= k) for k = 0..cap, N ~ Poisson(rate), from the pmf recurrence."""
-    return np.cumsum(np.cumprod(np.r_[np.exp(-rate), rate / np.arange(1, cap + 1)]))
-
-
-def _truncated_poisson_counts(rate: float, u: np.ndarray, cap: int) -> np.ndarray:
-    if rate <= 0:
-        return np.zeros(u.shape, np.int64)
-    cdf = _poisson_cdf(rate, cap)
-    return np.clip(np.searchsorted(cdf, u, side="right"), 0, cap).astype(np.int64)
+def _poisson_counts(rate: float, u: np.ndarray) -> np.ndarray:
+    """Poisson(rate) counts by inverse CDF of the uniforms ``u``; the table
+    grows until it covers the largest uniform, so no count is truncated."""
+    size = 16
+    while (cdf := np.maximum.accumulate(pdtr(np.arange(size), rate)))[-1] <= u.max():
+        size *= 2
+    return np.searchsorted(cdf, u, side="right")
 
 
 def _safe_ndtri(u: np.ndarray) -> np.ndarray:
@@ -248,8 +238,10 @@ def _safe_ndtri(u: np.ndarray) -> np.ndarray:
 
 
 def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
-                    draws: np.ndarray, traj_start: int) -> dict[str, np.ndarray]:
-    """Vectorised kernel: one row of uniform draws per trajectory."""
+                    draws: np.ndarray, traj_start: int,
+                    seed: int) -> dict[str, np.ndarray]:
+    """Vectorised kernel: one row of uniform draws per trajectory, plus the
+    stray-light substreams keyed on the master ``seed``."""
     m = draws.shape[0]
     traj_ids = np.arange(traj_start, traj_start + m, dtype=np.int64)
 
@@ -325,36 +317,29 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
         "bin_index": idx.astype(np.int32),
     }]
 
-    # --- reset flash photons (window start) --------------------------------
-    if params.reset_flash_rate > 0:
-        fcount = _truncated_poisson_counts(params.reset_flash_rate,
-                                           draws[:, _FLASH_COUNT], _FLASH_CAP)
-        for j in range(int(fcount.max()) if fcount.size else 0):
-            sel = fcount > j
-            k = int(sel.sum())
+    # --- stray light: one Poisson layer per kind ---------------------------
+    # The j-th event of a kind takes window i's counter tick (four uniforms)
+    # of the substream keyed on (seed, kind, j), so it is drawn only for j
+    # below the chunk's largest count and never depends on the chunking.
+    for origin, rate, slot in ((Origin.RESET_FLASH, params.reset_flash_rate, _FLASH_COUNT),
+                               (Origin.BACKGROUND, params.background_rate, _BG_COUNT)):
+        count = _poisson_counts(rate, draws[:, slot])
+        for j in range(int(count.max())):
+            sel = count > j
+            bitgen = Philox(seed=SeedSequence([int(seed), CODE_BY_ORIGIN[origin], j]))
+            bitgen.advance(traj_start)
+            u = Generator(bitgen).random((m, 4))[sel]
+            if origin is Origin.RESET_FLASH:
+                t, energy = np.zeros(len(u)), np.full(len(u), RESET_FLASH_ENERGY_UEV)
+            else:
+                t, energy = window * u[:, 0], params.spin_splitting * (2.0 * u[:, 2] - 1.0)
             parts.append({
                 "trajectory_id": traj_ids[sel],
-                "timestamp_ps": np.zeros(k),
-                "energy_uev": np.full(k, RESET_FLASH_ENERGY_UEV),
-                "origin": np.full(k, CODE_BY_ORIGIN[Origin.RESET_FLASH], np.uint8),
-                "phase_rad": _TWO_PI * draws[sel, _FLASH0 + j],
-                "bin_index": np.zeros(k, np.int32),
-            })
-
-    # --- uncorrelated background --------------------------------------------
-    if params.background_rate > 0:
-        bcount = _truncated_poisson_counts(params.background_rate,
-                                           draws[:, _BG_COUNT], _BG_CAP)
-        for j in range(int(bcount.max()) if bcount.size else 0):
-            sel = bcount > j
-            bt = window * draws[sel, _BG_T0 + j]
-            parts.append({
-                "trajectory_id": traj_ids[sel],
-                "timestamp_ps": bt,
-                "energy_uev": params.spin_splitting * (2.0 * draws[sel, _BG_ENERGY0 + j] - 1.0),
-                "origin": np.full(sel.sum(), CODE_BY_ORIGIN[Origin.BACKGROUND], np.uint8),
-                "phase_rad": _TWO_PI * draws[sel, _BG_PHASE0 + j],
-                "bin_index": np.clip(bt / dt_ps, 0, sequence.n_bins - 1).astype(np.int32),
+                "timestamp_ps": t,
+                "energy_uev": energy,
+                "origin": np.full(len(u), CODE_BY_ORIGIN[origin], np.uint8),
+                "phase_rad": _TWO_PI * u[:, 1],
+                "bin_index": np.clip(t / dt_ps, 0, sequence.n_bins - 1).astype(np.int32),
             })
 
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
@@ -371,11 +356,11 @@ def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
     validate(params)
     if n_trajectories < 0:
         raise ValueError("n_trajectories must be >= 0")
-    capped = [f"{name}: must be <= {_MAX_RATE} (per-window Poisson draws are capped)"
-              for name in ("background_rate", "reset_flash_rate")
-              if getattr(params, name) > _MAX_RATE]
-    if capped:
-        raise ValidationError(capped)
+    too_high = [f"{name}: must be <= {_MAX_STRAY_MEAN:g} events per window"
+                for name in ("background_rate", "reset_flash_rate")
+                if getattr(params, name) > _MAX_STRAY_MEAN]
+    if too_high:
+        raise ValidationError(too_high)
 
     pieces: list[dict[str, np.ndarray]] = []
     start = 0
@@ -384,7 +369,8 @@ def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
         bg = Philox(seed=SeedSequence(int(seed)))
         bg.advance(start * _WIDTH // 4)
         draws = Generator(bg).random((m, _WIDTH))
-        pieces.append(_simulate_block(sequence, params, draws, traj_start=start))
+        pieces.append(_simulate_block(sequence, params, draws, traj_start=start,
+                                      seed=seed))
         start += m
 
     if pieces:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from timebinsim import EventStream, PhysicalParams, run, save_params, sequence_for_pgen
-from timebinsim import cli
+from timebinsim import cli, measurement
 from timebinsim.cli import main
 from timebinsim.core import PARAM_FIELDS
 
@@ -59,7 +59,7 @@ def test_invalid_parameter_value_fails_validation(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--param", "t1_radiative=inf"],
-    ["simulate", "--param", "background_rate=2"],
+    ["simulate", "--param", "background_rate=1e300"],
     ["simulate", "--trajectories", "-5"],
     ["simulate", "--p-gen", "1.5"],
     ["wdm", "--fwhm", "0"],
@@ -310,12 +310,36 @@ def test_phase_qubits_without_photons_fails_cleanly(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # neither --out nor its staging area
 
 
-def test_g2_calibration_below_one_coincidence_fails_cleanly(tmp_path, capsys):
-    assert main(["g2", "--calibrate-g2", "1e-15", "--trajectories", "2000",
+def test_g2_calibration_below_one_coincidence_fails_cleanly(tmp_path, capsys,
+                                                           monkeypatch):
+    calls = []
+    real_run = measurement.run
+    monkeypatch.setattr(measurement, "run",
+                        lambda *a, **k: calls.append(1) or real_run(*a, **k))
+    # the default 200,000 windows: one run shows the target is out of reach
+    assert main(["g2", "--calibrate-g2", "1e-15",
                  "--out", str(tmp_path / "o")]) == 3
+    assert len(calls) <= 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_stray_rates_above_one_per_window_run(tmp_path, capsys):
+    for argv in (["simulate", "--param", "background_rate=2"],
+                 ["g2", "--background", "2"]):
+        assert main(argv + ["--trajectories", "2000",
+                            "--out", str(tmp_path / argv[0])]) == 0
+    capsys.readouterr()
+
+
+def test_g2_calibrates_a_target_above_the_old_rate_cap(tmp_path, capsys):
+    # the bracket starts above one background photon per window
+    assert main(["g2", "--calibrate-g2", "0.5", "--trajectories", "20000",
+                 "--out", str(tmp_path / "o")]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    g2, se = (float(x) for x in line.split()[2:5:2])  # "g2(0) = X +- S (...)"
+    assert abs(g2 - 0.5) < 5 * se
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

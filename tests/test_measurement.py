@@ -4,21 +4,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from timebinsim import (InsufficientStatisticsError, Origin, PulseSequence,
-                        ResonantPulse, TimeBinState, ValidationError,
-                        background_rate_for_g2,
+from timebinsim import (HbtResult, InsufficientStatisticsError, Origin,
+                        PulseSequence, ResonantPulse, TimeBinState,
+                        ValidationError, background_rate_for_g2,
                         calibrate_background_for_g2, filter_transmission,
                         fringe_scan, gate, hbt_g2, michelson,
                         michelson_expected, reject_reset_light, run,
                         sequence_for_pgen, spectral_filter,
                         two_pulse_sequence)
+from timebinsim import measurement
 from timebinsim.measurement import (_SLOT_LOST, _TAG_FRINGE, SLOT_MIDDLE,
                                     SLOT_SIDE_EARLY, SLOT_SIDE_LATE, _route,
                                     _routing_inputs, lorentzian_line)
 from timebinsim.montecarlo import derived_seed
 
-from oracle_values import (L2_AT_FULL_SPLIT, L2_AT_HALF_WIDTH, L2_AT_SPLIT,
-                           LAMBDA_G2_001_P_HALF)
+from oracle_values import (INCOHERENT_LEAK, L2_AT_FULL_SPLIT, L2_AT_HALF_WIDTH,
+                           L2_AT_SPLIT, LAMBDA_G2_001_P_HALF)
 
 
 @pytest.fixture
@@ -245,14 +246,18 @@ def test_spectral_filter_statistics_and_determinism(photon_stream):
     wide = spectral_filter(photon_stream, 0.0, 1e9, extinction=0.0)
     assert len(wide) / len(photon_stream) > 0.999
 
-    tight = spectral_filter(photon_stream, -9.55, 5.0, extinction=0.0)
-    again = spectral_filter(photon_stream, -9.55, 5.0, extinction=0.0)
+    tight = spectral_filter(photon_stream, -9.55, 5.0, extinction=1e-3)
+    again = spectral_filter(photon_stream, -9.55, 5.0, extinction=1e-3)
     assert np.array_equal(tight.columns["timestamp_ps"],
                           again.columns["timestamp_ps"])
 
-    # photons in this stream sit at energy 0: expect the frozen off-center leak
-    p = L2_AT_SPLIT
+    # coherent photons sit at energy 0 and leak the frozen off-center value;
+    # the incoherent ones follow their Lorentzian line, which leaks more
     n = len(photon_stream)
+    n_coh = int(photon_stream.origin_mask(Origin.COHERENT_RAMAN).sum())
+    n_inc = int(photon_stream.origin_mask(Origin.INCOHERENT_DECAY).sum())
+    assert n_coh + n_inc == n
+    p = (n_coh * L2_AT_SPLIT + n_inc * INCOHERENT_LEAK) / n
     assert abs(len(tight) / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
     with pytest.raises(ValueError):
@@ -338,3 +343,21 @@ def test_bisection_calibration_hits_the_target(clean_params):
     # same ballpark as the closed-form rate for an ideal source
     analytic = background_rate_for_g2(1.0, target)
     assert 0.3 * analytic < rate < 3.0 * analytic
+
+
+def test_calibration_bracket_grows_at_most_sixteenfold(clean_params, monkeypatch):
+    # a g2 that never reaches the target: the bracket doubles from its
+    # analytic start four times, then gives up without a fifth run
+    rates = []
+
+    def never_reached(stream, **_):
+        rates.append(stream.params.background_rate)
+        return HbtResult(lags=np.arange(-1, 2), g2=np.zeros(3),
+                         coincidences=np.full(3, 1e6), norm=1e6, se=np.ones(3))
+
+    monkeypatch.setattr(measurement, "hbt_g2", never_reached)
+    with pytest.raises(InsufficientStatisticsError, match="bracket"):
+        calibrate_background_for_g2(two_pulse_sequence(), clean_params, 0.5,
+                                    n_trajectories=10, seed=1)
+    start = 4.0 * background_rate_for_g2(1.0, 0.5)
+    assert rates == [start * 2.0 ** k for k in range(5)]
