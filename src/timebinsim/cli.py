@@ -87,6 +87,8 @@ def _resolve_params(args) -> PhysicalParams:
         params = load_params(args.config) if args.config else PhysicalParams()
     except OSError as exc:
         raise ConfigError(f"--config {args.config!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"--config {args.config!r}: not UTF-8 text") from None
     overrides = {}
     for item in args.param or []:
         name, sep, value = item.partition("=")

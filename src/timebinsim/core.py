@@ -103,13 +103,16 @@ class PhysicalParams:
     def violations(self) -> list[str]:
         v = [f"{f.name}: must be finite" for f in fields(self)
              if not math.isfinite(getattr(self, f.name))]
+        # Scales up to 1e100 keep every drawn time, phase and energy finite.
         for name in ("t1_radiative", "t2_spin", "bin_separation", "pulse_duration",
                      "cavity_linewidth", "spin_splitting"):
-            if not getattr(self, name) > 0:
-                v.append(f"{name}: must be > 0")
+            if not 0 < getattr(self, name) <= 1e100:
+                v.append(f"{name}: must lie in (0, 1e100]")
         for name in ("background_rate", "detector_jitter", "reset_flash_rate"):
-            if not getattr(self, name) >= 0:
-                v.append(f"{name}: must be >= 0")
+            if not 0 <= getattr(self, name) <= 1e100:
+                v.append(f"{name}: must lie in [0, 1e100]")
+        if self.t2_spin > 0 and not self.bin_separation / self.t2_spin <= 1e100:
+            v.append("t2_spin: must be >= 1e-100 * bin_separation")
         if not 0.0 <= self.p_hole_init <= 1.0:
             v.append("p_hole_init: must lie in [0, 1]")
         if self.pulse_duration > 0 and self.bin_separation > 0 \
@@ -322,6 +325,8 @@ def parse_params_text(text: str) -> PhysicalParams:
         if name not in PARAM_FIELDS:
             unknown.append(name)
             continue
+        if name in values:
+            raise ConfigError(f"line {lineno}: duplicate key {name!r}")
         try:
             values[name] = float(val)
         except ValueError:

@@ -365,13 +365,14 @@ def calibrate_background_for_g2(sequence: PulseSequence, params: PhysicalParams,
 
     Each bisection step re-simulates ``n_trajectories`` windows with the
     candidate rate under the same master seed (common random numbers), so
-    the measured ``g2(0)`` is monotone in the rate and the search is
-    deterministic.  Streams are prepared as in the experiment (reset light
-    rejected, events gated to their own window) before correlating.  The
-    analytic rate from :func:`background_rate_for_g2` seeds the upper
-    bracket.  A target below one expected zero-lag coincidence at the
-    bracket's start, or beyond its reach, raises
-    :class:`InsufficientStatisticsError`.
+    the search is deterministic, but not over a monotone function:
+    :func:`hbt_g2` splits detectors by stream position, so one added
+    background event reshuffles every later split.  Streams are prepared as
+    in the experiment (reset light rejected, events gated to their own
+    window) before correlating.  The analytic rate from
+    :func:`background_rate_for_g2` seeds the upper bracket.  A target below
+    one expected zero-lag coincidence at the bracket's start, or beyond its
+    reach, raises :class:`InsufficientStatisticsError`.
     """
     if not 0 < target_g2 < 1:
         raise ValueError("target_g2 must lie in (0, 1)")

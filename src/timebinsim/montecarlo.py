@@ -17,9 +17,9 @@ Uncorrelated background counts (uniform arrival time, random phase, broad
 energy) are overlaid per window with mean ``background_rate``.
 
 Determinism contract: trajectory ``i`` uses draws ``[i*K, (i+1)*K)``,
-``K = 12``, of the Philox stream of the master seed, and counter tick ``i``
-of the substream ``(seed, kind, j)`` for its ``j``-th stray event of each
-kind, so results are bit-identical for any chunk size or execution order.
+``K = 12``, of the Philox stream of the master seed; the stray events of a
+kind take one counter tick each of the stream keyed on ``(seed, kind)``, in
+(window, j) order, so results are bit-identical for any chunk size.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .dynamics import sequence_drives
 # (~850 nm pump against ~940 nm emission, i.e. roughly +0.14 eV).
 RESET_FLASH_ENERGY_UEV = 1.396e5
 
-# Each j-th stray event costs a keyed substream per chunk, so millions per
-# window would run for hours; 2**16 lies far above every physical rate.
+# A run holds about mean x windows stray events of a kind, so the bound
+# guards memory; 2**16 per window lies far above every physical rate.
 _MAX_STRAY_MEAN = 2.0 ** 16
 
 _TWO_PI = 2.0 * np.pi
@@ -90,9 +90,16 @@ class EventStream:
                            columns=cols)
 
     def _sort(self) -> np.ndarray:
-        """Put the events in stream order; returns the permutation applied."""
+        """Put the events in stream order; returns the permutation applied,
+        that of ``np.lexsort((timestamp, trajectory_id))``: a stable sort by
+        window, then a time sort of the windows holding several events."""
         c = self.columns
-        order = np.lexsort((c["timestamp_ps"], c["trajectory_id"]))
+        traj, t = c["trajectory_id"], c["timestamp_ps"]
+        order = np.argsort(traj, kind="stable")
+        same = traj[order[1:]] == traj[order[:-1]]
+        shared = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+        sub = order[shared]
+        order[shared] = sub[np.lexsort((t[sub], traj[sub]))]
         self.columns = {k: v[order] for k, v in c.items()}
         return order
 
@@ -239,9 +246,9 @@ def _safe_ndtri(u: np.ndarray) -> np.ndarray:
 
 def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
                     draws: np.ndarray, traj_start: int,
-                    seed: int) -> dict[str, np.ndarray]:
-    """Vectorised kernel: one row of uniform draws per trajectory, plus the
-    stray-light substreams keyed on the master ``seed``."""
+                    stray: dict[Origin, Generator]) -> dict[str, np.ndarray]:
+    """Vectorised kernel: one row of uniform draws per trajectory, plus one
+    counter tick per stray event from that kind's generator in ``stray``."""
     m = draws.shape[0]
     traj_ids = np.arange(traj_start, traj_start + m, dtype=np.int64)
 
@@ -263,26 +270,27 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
     has = early | late
     idx = late[has].astype(np.int64)  # pulse index == bin index
     n_ph = idx.size
+    rows = draws[has]
 
-    coherent = draws[has, _ORIGIN] < cfrac[idx]
+    coherent = rows[:, _ORIGIN] < cfrac[idx]
 
     t = (idx * dt_ps
-         - params.t1_radiative * np.log1p(-draws[has, _DECAY])
-         + params.detector_jitter * _safe_ndtri(draws[has, _JITTER]))
+         - params.t1_radiative * np.log1p(-rows[:, _DECAY])
+         + params.detector_jitter * _safe_ndtri(rows[:, _JITTER]))
     t = np.maximum(t, 0.0)
 
     # Spin dephasing between the bins: one Gaussian phase kick per
     # trajectory, riding on the late-bin amplitude with standard deviation
     # sqrt(2*dt/T2), so the cross-bin ensemble coherence carries
     # <exp(i*kick)> = exp(-dt/T2).
-    kick = _safe_ndtri(draws[has, _KICK])
+    kick = _safe_ndtri(rows[:, _KICK])
     kick_sigma_by_pulse = np.sqrt(
         2.0 * params.bin_separation * np.arange(2) / params.t2_spin)
 
     # Free-running two-colour drives settle on a new relative optical phase
     # every window; single-colour (or locked) drives keep zero offset.
     if sequence.random_interlaser_phase:
-        delta_rb = _TWO_PI * draws[has, _INTERLASER]
+        delta_rb = _TWO_PI * rows[:, _INTERLASER]
     else:
         delta_rb = np.zeros(n_ph)
 
@@ -298,12 +306,12 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
     phase = np.where(
         coherent,
         phases[idx] + own_extra - partner_extra,
-        _TWO_PI * draws[has, _INC_PHASE],
+        _TWO_PI * rows[:, _INC_PHASE],
     )
     energy = np.where(
         coherent,
         detunings[idx],
-        0.5 * params.cavity_linewidth * np.tan(np.pi * (draws[has, _INC_ENERGY] - 0.5)),
+        0.5 * params.cavity_linewidth * np.tan(np.pi * (rows[:, _INC_ENERGY] - 0.5)),
     )
     origin = np.where(coherent, CODE_BY_ORIGIN[Origin.COHERENT_RAMAN],
                       CODE_BY_ORIGIN[Origin.INCOHERENT_DECAY]).astype(np.uint8)
@@ -318,29 +326,25 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
     }]
 
     # --- stray light: one Poisson layer per kind ---------------------------
-    # The j-th event of a kind takes window i's counter tick (four uniforms)
-    # of the substream keyed on (seed, kind, j), so it is drawn only for j
-    # below the chunk's largest count and never depends on the chunking.
+    # Each event of a kind takes the next counter tick (four uniforms) of
+    # that kind's generator, in (window, j) order; chunks are drawn in window
+    # order, so the events never depend on the chunking.
     for origin, rate, slot in ((Origin.RESET_FLASH, params.reset_flash_rate, _FLASH_COUNT),
                                (Origin.BACKGROUND, params.background_rate, _BG_COUNT)):
         count = _poisson_counts(rate, draws[:, slot])
-        for j in range(int(count.max())):
-            sel = count > j
-            bitgen = Philox(seed=SeedSequence([int(seed), CODE_BY_ORIGIN[origin], j]))
-            bitgen.advance(traj_start)
-            u = Generator(bitgen).random((m, 4))[sel]
-            if origin is Origin.RESET_FLASH:
-                t, energy = np.zeros(len(u)), np.full(len(u), RESET_FLASH_ENERGY_UEV)
-            else:
-                t, energy = window * u[:, 0], params.spin_splitting * (2.0 * u[:, 2] - 1.0)
-            parts.append({
-                "trajectory_id": traj_ids[sel],
-                "timestamp_ps": t,
-                "energy_uev": energy,
-                "origin": np.full(len(u), CODE_BY_ORIGIN[origin], np.uint8),
-                "phase_rad": _TWO_PI * u[:, 1],
-                "bin_index": np.clip(t / dt_ps, 0, sequence.n_bins - 1).astype(np.int32),
-            })
+        u = stray[origin].random((int(count.sum()), 4))
+        if origin is Origin.RESET_FLASH:
+            t, energy = np.zeros(len(u)), np.full(len(u), RESET_FLASH_ENERGY_UEV)
+        else:
+            t, energy = window * u[:, 0], params.spin_splitting * (2.0 * u[:, 2] - 1.0)
+        parts.append({
+            "trajectory_id": np.repeat(traj_ids, count),
+            "timestamp_ps": t,
+            "energy_uev": energy,
+            "origin": np.full(len(u), CODE_BY_ORIGIN[origin], np.uint8),
+            "phase_rad": _TWO_PI * u[:, 1],
+            "bin_index": np.clip(t / dt_ps, 0, sequence.n_bins - 1).astype(np.int32),
+        })
 
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
@@ -362,6 +366,8 @@ def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
     if too_high:
         raise ValidationError(too_high)
 
+    stray = {o: Generator(Philox(seed=SeedSequence([int(seed), CODE_BY_ORIGIN[o]])))
+             for o in (Origin.RESET_FLASH, Origin.BACKGROUND)}
     pieces: list[dict[str, np.ndarray]] = []
     start = 0
     while start < n_trajectories:
@@ -370,7 +376,7 @@ def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
         bg.advance(start * _WIDTH // 4)
         draws = Generator(bg).random((m, _WIDTH))
         pieces.append(_simulate_block(sequence, params, draws, traj_start=start,
-                                      seed=seed))
+                                      stray=stray))
         start += m
 
     if pieces:

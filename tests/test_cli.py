@@ -77,6 +77,8 @@ def test_invalid_parameter_value_fails_validation(tmp_path, capsys):
     ["visibility-sweep", "--mc-points", "-1"],
     ["g2", "--scale", "inf"],
     ["g2", "--calibrate-g2", "1e-17"],
+    ["simulate", "--param", "t2_spin=1e-320"],
+    ["simulate", "--param", "cavity_linewidth=1e308"],
 ])
 def test_bad_numeric_input_is_a_usage_error(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -165,6 +167,43 @@ def test_config_file_with_override(tmp_path, capsys):
     assert meta["params"]["t1_radiative"] == 100.0
     assert meta["params"]["detector_jitter"] == 0.0
     capsys.readouterr()
+
+
+def test_non_utf8_config_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "params.txt"
+    cfg.write_bytes(b"t1_radiative = 1\xff\xfe\n")
+    assert main(["simulate", "--trajectories", "10", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(cfg) in err
+
+
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "1e-320", "-1", "0", "2.5", "x"]),
+    st.floats(0.0, 10.0).map(repr))
+_CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(sorted(PARAM_FIELDS)), _CONFIG_VALUES).map(
+        lambda kv: f"{kv[0]} = {kv[1]}".encode()),
+    st.sampled_from([b"", b"# comment", b"junk", b"=", b"= 1", b"a = b = c",
+                     b"lifetime = 3", b"t1_radiative = 1\xff\xfe", b"\x80\x81"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.lists(_CONFIG_LINES, max_size=6))
+def test_fuzzed_config_files_never_raise(lines):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as cfg_dir, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        cfg = os.path.join(cfg_dir, "params.txt")
+        with open(cfg, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        code = main(["simulate", "--config", cfg, "--trajectories=20",
+                     "--out", os.path.join(tmp, "o")])
+        left = os.listdir(tmp)
+    assert code in (0, 2, 3), (lines, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert left == (["o"] if code == 0 else []), (lines, left)
 
 
 # -- simulate ------------------------------------------------------------------

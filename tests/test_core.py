@@ -58,6 +58,7 @@ def test_parse_params_text_defaults_and_comments():
     ("t1_radiative 100", "expected 'name = value'"),
     ("t1_radiative = fast", "not a number"),
     ("lifetime = 100", "unknown parameter keys: lifetime"),
+    ("t1_radiative = 100\nt1_radiative = 200", "line 2: duplicate key 't1_radiative'"),
 ])
 def test_parse_params_text_errors(text, fragment):
     with pytest.raises(ConfigError, match=fragment):

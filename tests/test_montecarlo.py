@@ -6,11 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from numpy.random import Generator, Philox, SeedSequence
 from scipy import stats
 
 from timebinsim import (EventStream, Origin, PhysicalParams, PulseSequence,
                         ResonantPulse, montecarlo, run, two_pulse_sequence)
-from timebinsim.montecarlo import RESET_FLASH_ENERGY_UEV
+from timebinsim.montecarlo import CODE_BY_ORIGIN, RESET_FLASH_ENERGY_UEV
 
 from oracle_values import C_HALF_PI, C_PI
 
@@ -41,13 +43,73 @@ def test_draw_block_is_counter_aligned(params):
     # ten source slots plus one count uniform per kind of stray light,
     # in whole Philox counter ticks of four uniforms
     assert montecarlo._WIDTH == 12 and montecarlo._WIDTH % 4 == 0
-    # every window reads only its own counters, so a longer run extends a
-    # shorter one window for window, stray events included
+    # every window reads its own counters of the source block, and stray
+    # events are drawn in window order, so a longer run extends a shorter
+    # one window for window, stray events included
     seq = two_pulse_sequence()
     cfg = replace(params, background_rate=2.5, reset_flash_rate=1.5)
     short = run(seq, cfg, 1000, seed=3)
     longer = run(seq, cfg, 1777, seed=3)
     assert _columns_equal(short, longer.subset(longer.columns["trajectory_id"] < 1000))
+
+
+@pytest.mark.parametrize("chunk_size", [1 << 17, 777])
+def test_stray_events_take_consecutive_ticks_of_their_kind(params, chunk_size):
+    n, seed = 3000, 21
+    cfg = replace(params, background_rate=2.5, reset_flash_rate=1.5)
+    stream = run(two_pulse_sequence(), cfg, n, seed=seed, chunk_size=chunk_size)
+    window = cfg.window_ps(2)
+    for origin in (Origin.RESET_FLASH, Origin.BACKGROUND):
+        got = stream.subset(stream.origin_mask(origin)).columns
+        count = np.bincount(got["trajectory_id"], minlength=n)
+        # one tick per event, in (window, j) order: the first N rows, no more
+        u = Generator(Philox(SeedSequence([seed, CODE_BY_ORIGIN[origin]]))).random(
+            (int(count.sum()), 4))
+        traj = np.repeat(np.arange(n), count)
+        if origin is Origin.RESET_FLASH:
+            t = np.zeros(len(u))
+            energy = np.full(len(u), RESET_FLASH_ENERGY_UEV)
+        else:
+            t = window * u[:, 0]
+            energy = cfg.spin_splitting * (2.0 * u[:, 2] - 1.0)
+        order = np.lexsort((t, traj))
+        assert np.array_equal(got["trajectory_id"], traj[order])
+        assert np.array_equal(got["timestamp_ps"], t[order])
+        assert np.array_equal(got["energy_uev"], energy[order])
+        assert np.array_equal(got["phase_rad"], 2.0 * np.pi * u[order, 1])
+
+
+@st.composite
+def _unsorted_events(draw):
+    """Columns that stress the sort: trajectory ids in any order or in
+    stream order with some events delayed by one bin (as ``michelson``
+    leaves them), many equal (trajectory, time) pairs and clamped t = 0."""
+    n = draw(st.integers(0, 40))
+    traj = np.array(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)), np.int64)
+    t = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 1.5, 1.5, 80.0, 2.0e3]),
+                               min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        order = np.lexsort((t, traj))
+        traj, t = traj[order], t[order]
+        delayed = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
+        t = t + 100.0 * delayed
+    return traj, t
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_unsorted_events())
+@example((np.empty(0, np.int64), np.empty(0)))
+@example((np.array([3], np.int64), np.array([0.0])))
+def test_sort_applies_the_lexsort_permutation(events):
+    traj, t = events
+    cols = {"trajectory_id": traj, "timestamp_ps": t,
+            "energy_uev": np.arange(len(t), dtype=np.float64)}
+    stream = EventStream(params=PhysicalParams(), sequence=two_pulse_sequence(),
+                         seed=0, n_trajectories=7, columns=dict(cols))
+    expected = np.lexsort((t, traj))
+    assert np.array_equal(stream._sort(), expected)
+    for key, values in cols.items():
+        assert np.array_equal(stream.columns[key], values[expected])
 
 
 @pytest.mark.parametrize("rate", [0.05, 0.7, 3.0])
