@@ -4,7 +4,7 @@ spin-cavity emitter."""
 from .core import (BlochVector, ConfigError, InsufficientStatisticsError,
                    LaserId, PhysicalParams, PulseSequence, ResonantPulse,
                    TimeBinState, ValidationError, load_params, purity_bound,
-                   save_params, validate)
+                   validate)
 from .dynamics import (coherent_fraction, derive_drive, excitation_probability,
                        expected_visibility, generate_state, intensity_for_angle,
                        rotation_angle, sequence_drives, sequence_for_pgen,
@@ -18,8 +18,7 @@ from .montecarlo import EventStream, Origin, run
 from .tomography import (FringeFit, bloch_of_state, direction_fidelity,
                          fidelity, fit_fringe, qubit_phase, reconstruct,
                          unwrap_phases, write_states_csv)
-from .wdm import (RecoveryReport, WdmSpec, WdmState, build_wdm_sequence,
-                  recovery_report, wdm_state)
+from .wdm import RecoveryReport, WdmSpec, build_wdm_sequence, recovery_report
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,7 @@ __all__ = [
     "HbtResult", "InsufficientStatisticsError", "LaserId",
     "MichelsonResult", "Origin", "PhysicalParams",
     "PulseSequence", "RecoveryReport", "ResonantPulse", "TimeBinState",
-    "ValidationError", "WdmSpec", "WdmState", "background_rate_for_g2",
+    "ValidationError", "WdmSpec", "background_rate_for_g2",
     "bloch_of_state", "build_wdm_sequence", "calibrate_background_for_g2",
     "coherent_fraction", "derive_drive",
     "direction_fidelity", "excitation_probability", "expected_visibility",
@@ -36,9 +35,8 @@ __all__ = [
     "generate_state", "hbt_g2", "intensity_for_angle", "load_params",
     "michelson", "michelson_expected", "purity_bound", "qubit_phase",
     "reconstruct", "recovery_report", "reject_reset_light", "rotation_angle",
-    "run",
-    "save_params", "sequence_drives", "sequence_for_pgen",
+    "run", "sequence_drives", "sequence_for_pgen",
     "spectral_filter",
     "two_pulse_sequence", "unwrap_phases", "validate", "visibility_curve",
-    "wdm_state", "write_states_csv",
+    "write_states_csv",
 ]

@@ -87,8 +87,8 @@ def _resolve_params(args) -> PhysicalParams:
         params = load_params(args.config) if args.config else PhysicalParams()
     except OSError as exc:
         raise ConfigError(f"--config {args.config!r}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"--config {args.config!r}: not UTF-8 text") from None
+    except (UnicodeDecodeError, ConfigError, ValidationError) as exc:
+        raise ConfigError(f"--config {args.config!r}: {exc}") from None
     overrides = {}
     for item in args.param or []:
         name, sep, value = item.partition("=")
@@ -175,18 +175,16 @@ def cmd_phase_qubits(args, out: _OutDir) -> int:
         recovered = qubit_phase(reference, fit)
         fit_rows.append((delta, recovered, fit.visibility, fit.visibility_err))
 
-        # Populations from an interferometer-free acquisition, keeping only
-        # the emitted photons (no reset flash, no background).
-        seq = sequence_for_pgen(args.p_gen, phase2=delta)
-        pop = run(seq, params, args.trajectories, derived_seed(args.seed, k, 1))
-        pop = pop.subset(pop.photon_mask)
-        if len(pop) == 0:
+        # Populations from the scan's own side peaks, as a detector counts
+        # them: background photons count in the bin they arrive in.
+        early = int(scan.early_side_counts.sum())
+        late = int(scan.late_side_counts.sum())
+        if early + late == 0:
             raise InsufficientStatisticsError(
-                f"setpoint {k}: the population run kept no photons")
-        bins = pop.columns["bin_index"]
-        p_e = float(np.sum(bins == 0)) / pop.n_trajectories
-        p_l = float(np.sum(bins >= 1)) / pop.n_trajectories
-        vec = reconstruct(p_e, p_l, fit.visibility, recovered)
+                f"setpoint {k}: the fringe scan saw no side-peak photons")
+        vec = reconstruct(early / (early + late), late / (early + late),
+                          fit.visibility, recovered)
+        seq = sequence_for_pgen(args.p_gen, phase2=delta)
         target = bloch_of_state(generate_state(seq, params))
         state_rows.append((vec, direction_fidelity(vec, target),
                            fit.visibility, recovered))

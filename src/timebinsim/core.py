@@ -343,17 +343,6 @@ def load_params(path: str | Path) -> PhysicalParams:
     return params
 
 
-def params_text(params: PhysicalParams) -> str:
-    lines = ["# physical parameters (units fixed per field)"]
-    for name, (unit, desc) in PARAM_FIELDS.items():
-        lines.append(f"{name} = {getattr(params, name)!r}  # [{unit}] {desc}")
-    return "\n".join(lines) + "\n"
-
-
-def save_params(params: PhysicalParams, path: str | Path) -> None:
-    Path(path).write_text(params_text(params))
-
-
 def format_float(x: float) -> str:
     """Shortest decimal string that round-trips the float (stable across runs)."""
     return repr(float(x))

@@ -175,6 +175,10 @@ def michelson_expected(state: TimeBinState, interferometer_phase: float,
     occupation; the overlap slot carries the cross-bin coherence::
 
         middle = (p_early + p_late)/4 + |coh|/2 * cos(arg(coh) + phase_if)
+
+    The routing counts these side peaks but not this middle term: its
+    fringe visibility is C_min * exp(-dt/T2) (``expected_visibility``) at
+    any bin balance, not 2|coh|/(p_early + p_late), which holds sqrt(C_0 C_1).
     """
     chi = float(np.angle(state.coherence)) if state.coherence else 0.0
     mag = abs(state.coherence)
@@ -190,12 +194,13 @@ def michelson_expected(state: TimeBinState, interferometer_phase: float,
 class FringeScan:
     phases: np.ndarray  # interferometer phase setpoints, rad
     middle_counts: np.ndarray
-    side_counts: np.ndarray
+    early_side_counts: np.ndarray
+    late_side_counts: np.ndarray
     n_input: np.ndarray
 
     def to_csv(self, path) -> None:
         rows = zip(self.phases.tolist(), self.middle_counts.tolist(),
-                   self.side_counts.tolist())
+                   (self.early_side_counts + self.late_side_counts).tolist())
         write_csv(path, "phase_rad,middle_counts,side_counts", rows)
 
 
@@ -242,7 +247,8 @@ def fringe_scan(source: EventStream | PulseSequence, phases, *,
         slots = _route(*routing, stream.seed, float(phi), salt)
         counts[k] = np.bincount(slots, minlength=_SLOT_LOST + 1)
     return FringeScan(phases=phases, middle_counts=counts[:, SLOT_MIDDLE],
-                      side_counts=counts[:, SLOT_SIDE_EARLY] + counts[:, SLOT_SIDE_LATE],
+                      early_side_counts=counts[:, SLOT_SIDE_EARLY],
+                      late_side_counts=counts[:, SLOT_SIDE_LATE],
                       n_input=counts.sum(axis=1))
 
 

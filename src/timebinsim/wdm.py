@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (InsufficientStatisticsError, LaserId, PhysicalParams,
-                   PulseSequence, ResonantPulse, TimeBinState, validate,
-                   write_csv)
-from .dynamics import generate_state
+                   PulseSequence, ResonantPulse, validate, write_csv)
 from .measurement import reject_reset_light, spectral_filter
 from .montecarlo import EventStream, run
 
@@ -74,26 +72,6 @@ def build_wdm_sequence(spec: WdmSpec | None = None) -> PulseSequence:
     )
     validate(seq)
     return seq
-
-
-@dataclass(frozen=True)
-class WdmState:
-    red: TimeBinState  # early-bin channel at the red energy
-    blue: TimeBinState  # late-bin channel at the blue energy
-    combined: TimeBinState  # both channels; zero coherence unless locked
-    relative_phase_known: bool
-
-
-def wdm_state(spec: WdmSpec | None = None,
-              params: PhysicalParams | None = None) -> WdmState:
-    """Analytic state of the two-colour sequence, split by colour channel."""
-    spec = spec or WdmSpec()
-    params = params or PhysicalParams()
-    combined = generate_state(build_wdm_sequence(spec), params)
-    return WdmState(red=TimeBinState(p_early=combined.p_early, p_late=0.0),
-                    blue=TimeBinState(p_early=0.0, p_late=combined.p_late),
-                    combined=combined,
-                    relative_phase_known=spec.locked_phase is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,9 @@ the tests compare the implementation against an independent route:
     leak                = integral of Cauchy(0, 1.3) * max(L2(e; -9.55, 5), 1e-3)
     lambda(p, g)        = p * (1/sqrt(1-g) - 1)
 
-Recompute with::
-
-    python3 - <<'EOF'
-    import mpmath as mp; mp.mp.dps = 50
-    C = lambda th: 2*(1/mp.mpf(250))**2 / (2*(1/mp.mpf(250))**2 + (th/1000)**2)
-    print(mp.e**mp.mpf('-0.25') * C(mp.pi))
-    EOF
+Recompute every constant with ``python3 tests/oracle_mpmath.py``;
+``test_oracle_values.py`` checks each one against that script to the digits
+stated here.
 """
 
 # spin dephasing factor over one bin separation, exp(-1/4)
@@ -52,13 +48,13 @@ L2_AT_FULL_SPLIT = 0.0002837081123610587  # 19.1 ueV off center
 
 # incoherent-line leakage through the red recovery filter (Cauchy half-width
 # 1.3 ueV, filter at -9.55 ueV, fwhm 5 ueV, floor 1e-3)
-INCOHERENT_LEAK = 0.0235414328564
+INCOHERENT_LEAK = 0.0235414292196
 
 # predicted red-filter channel at full drive, p_hole 1, no stray light
-RED_FILTER_EARLY_FRACTION = 0.993257754772
-RED_FILTER_TRANSMISSION = 0.468206127963
+RED_FILTER_EARLY_FRACTION = 0.993257755679
+RED_FILTER_TRANSMISSION = 0.468206127404
 
 # same for the blue channel; not a mirror image of red because the late-bin
 # pulse area (pi) keeps a smaller coherent fraction than the early one (pi/2)
-BLUE_FILTER_LATE_FRACTION = 0.996616357638
-BLUE_FILTER_TRANSMISSION = 0.386220243372
+BLUE_FILTER_LATE_FRACTION = 0.996616357649
+BLUE_FILTER_TRANSMISSION = 0.386220243354

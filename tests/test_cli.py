@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from timebinsim import EventStream, PhysicalParams, run, save_params, sequence_for_pgen
+from timebinsim import EventStream, PhysicalParams, run, sequence_for_pgen
 from timebinsim import cli, measurement
 from timebinsim.cli import main
 from timebinsim.core import PARAM_FIELDS
@@ -159,7 +159,7 @@ def test_every_subcommand_documents_the_parameter_keys(capsys):
 
 def test_config_file_with_override(tmp_path, capsys):
     cfg = tmp_path / "params.txt"
-    save_params(PhysicalParams(t1_radiative=100.0), cfg)
+    cfg.write_text("# device\nt1_radiative = 100.0\n")
     out = tmp_path / "o"
     assert main(["simulate", "--trajectories", "20", "--out", str(out),
                  "--config", str(cfg), "--param", "detector_jitter=0"]) == 0
@@ -177,6 +177,20 @@ def test_non_utf8_config_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert str(cfg) in err
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("t1_radiative = 100\nt1_radiative = 200\n", "line 2: duplicate key 't1_radiative'"),
+    ("t1_radiative = -3\n", "t1_radiative: must lie in"),
+])
+def test_config_file_errors_name_the_file(tmp_path, capsys, text, fragment):
+    cfg = tmp_path / "params.txt"
+    cfg.write_text(text)
+    assert main(["simulate", "--trajectories", "10", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"--config {str(cfg)!r}: " in err and fragment in err
 
 
 _CONFIG_VALUES = st.one_of(
@@ -347,6 +361,18 @@ def test_phase_qubits_without_photons_fails_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []  # neither --out nor its staging area
+
+
+def test_phase_qubits_without_side_peak_photons_fails_cleanly(tmp_path, capsys):
+    # Seed 4 gives both scans a fringe phase, but setpoint 1 routes none of
+    # its 8 photons to a side peak.
+    assert main(["phase-qubits", "--trajectories", "2", "--scan-points", "4",
+                 "--phases", "0.5", "--param", "p_hole_init=1", "--seed", "4",
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "side-peak" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_g2_calibration_below_one_coincidence_fails_cleanly(tmp_path, capsys,

@@ -106,13 +106,12 @@ def test_generate_state_scales_with_hole_preparation(params, clean_params):
 
 
 def test_generate_state_covers_two_colour_sequences(params):
-    from timebinsim import WdmSpec, build_wdm_sequence, wdm_state
+    from timebinsim import WdmSpec, build_wdm_sequence
     free = generate_state(build_wdm_sequence(), params)
+    locked = generate_state(build_wdm_sequence(WdmSpec(locked_phase=0.7)), params)
     assert free.coherence == 0j
-    assert free.p_total == pytest.approx(wdm_state(params=params).combined.p_total)
-    spec = WdmSpec(locked_phase=0.7)
-    assert generate_state(build_wdm_sequence(spec), params) == \
-        wdm_state(spec, params).combined
+    assert (free.p_early, free.p_late) == (locked.p_early, locked.p_late)
+    assert np.angle(locked.coherence) == pytest.approx(-0.7, abs=1e-12)
 
 
 def test_expected_visibility_frozen_values(params):

@@ -8,7 +8,7 @@ from timebinsim import (HbtResult, InsufficientStatisticsError, Origin,
                         PulseSequence, ResonantPulse, TimeBinState,
                         ValidationError, background_rate_for_g2,
                         calibrate_background_for_g2, filter_transmission,
-                        fringe_scan, gate, hbt_g2, michelson,
+                        fringe_scan, gate, generate_state, hbt_g2, michelson,
                         michelson_expected, reject_reset_light, run,
                         sequence_for_pgen, spectral_filter,
                         two_pulse_sequence)
@@ -166,18 +166,18 @@ def test_fringe_scan_csv(photon_stream, tmp_path):
 
 
 def _michelson_counts(stream, phases, salt):
-    """(middle, sides, n_input) per setpoint, from full michelson runs."""
+    """(early side, middle, late side, n_input) per setpoint, from full
+    michelson runs."""
     rows = []
     for phi in phases:
         res = michelson(reject_reset_light(stream), float(phi), salt=salt)
-        early, middle, late = res.slot_counts()
-        rows.append((middle, early + late, res.n_input))
+        rows.append((*res.slot_counts(), res.n_input))
     return rows
 
 
 def _scan_counts(scan):
-    return list(zip(scan.middle_counts.tolist(), scan.side_counts.tolist(),
-                    scan.n_input.tolist()))
+    return list(zip(scan.early_side_counts.tolist(), scan.middle_counts.tolist(),
+                    scan.late_side_counts.tolist(), scan.n_input.tolist()))
 
 
 def test_fringe_scan_counts_what_michelson_detects(stray_stream):
@@ -198,6 +198,19 @@ def test_live_fringe_scan_counts_what_michelson_detects(params):
         run(seq, noisy, 3000, derived_seed(31, _TAG_FRINGE, k)), [phi], 4)[0]
         for k, phi in enumerate(phases)]
     assert _scan_counts(scan) == expected
+
+
+@pytest.mark.parametrize("p_hole_init", [1.0, 0.5])
+def test_live_scan_side_peaks_match_michelson_expected(params, p_hole_init):
+    noisy = replace(params, p_hole_init=p_hole_init)  # reset flash is on
+    seq = sequence_for_pgen(0.6, phase2=0.9)
+    phases = np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)
+    scan = fringe_scan(seq, phases, params=noisy, n_trajectories=20_000, seed=32)
+    windows = 20_000 * phases.size
+    state = generate_state(seq, noisy)
+    for counts, slot in ((scan.early_side_counts, 0), (scan.late_side_counts, 2)):
+        p = michelson_expected(state, 0.0, noisy)[slot]
+        assert abs(counts.sum() / windows - p) < 3.0 * math.sqrt(p * (1.0 - p) / windows)
 
 
 def test_fringe_scan_modulates_middle_counts(photon_stream):

@@ -6,7 +6,7 @@ import pytest
 from timebinsim import (InsufficientStatisticsError, LaserId, Origin,
                         PhysicalParams, ValidationError, WdmSpec,
                         build_wdm_sequence, fit_fringe, fringe_scan,
-                        recovery_report, run, wdm_state)
+                        generate_state, recovery_report, run)
 
 from oracle_values import (BLUE_FILTER_LATE_FRACTION, BLUE_FILTER_TRANSMISSION,
                            EXPECTED_VISIBILITY, IDEAL_COHERENCE,
@@ -57,35 +57,32 @@ def test_sequence_shape_locked():
 
 
 # -- analytic channel states ---------------------------------------------------
+# The red channel is the early bin and the blue channel the late bin.
 
 def test_channel_states_at_full_preparation(clean_params):
-    ws = wdm_state(params=clean_params)
-    assert ws.red.p_early == pytest.approx(0.5, abs=1e-12)
-    assert ws.red.p_late == 0.0
-    assert ws.blue.p_early == 0.0
-    assert ws.blue.p_late == pytest.approx(0.5, abs=1e-12)
-    assert ws.combined.p_early == pytest.approx(0.5, abs=1e-12)
-    assert ws.combined.p_late == pytest.approx(0.5, abs=1e-12)
-    assert ws.combined.coherence == 0j
-    assert not ws.relative_phase_known
+    state = generate_state(build_wdm_sequence(), clean_params)
+    assert state.p_early == pytest.approx(0.5, abs=1e-12)
+    assert state.p_late == pytest.approx(0.5, abs=1e-12)
+    assert state.coherence == 0j
 
 
 def test_channel_states_scale_with_hole_occupation(params):
-    ws = wdm_state(params=params)  # p_hole_init = 0.5
-    assert ws.red.p_early == pytest.approx(0.25, abs=1e-12)
-    assert ws.blue.p_late == pytest.approx(0.25, abs=1e-12)
+    state = generate_state(build_wdm_sequence(), params)  # p_hole_init = 0.5
+    assert state.p_early == pytest.approx(0.25, abs=1e-12)
+    assert state.p_late == pytest.approx(0.25, abs=1e-12)
 
 
 def test_locked_lasers_keep_the_cross_bin_coherence(clean_params):
-    ws = wdm_state(WdmSpec(locked_phase=0.0), clean_params)
-    assert ws.relative_phase_known
-    assert ws.combined.coherence.real == pytest.approx(IDEAL_COHERENCE, abs=1e-12)
-    assert ws.combined.coherence.imag == pytest.approx(0.0, abs=1e-12)
+    state = generate_state(build_wdm_sequence(WdmSpec(locked_phase=0.0)),
+                           clean_params)
+    assert state.coherence.real == pytest.approx(IDEAL_COHERENCE, abs=1e-12)
+    assert state.coherence.imag == pytest.approx(0.0, abs=1e-12)
 
     delta = 0.58 * math.pi
-    ws2 = wdm_state(WdmSpec(locked_phase=delta), clean_params)
-    assert np.angle(ws2.combined.coherence) == pytest.approx(-delta, abs=1e-12)
-    assert abs(ws2.combined.coherence) == pytest.approx(IDEAL_COHERENCE, abs=1e-12)
+    state = generate_state(build_wdm_sequence(WdmSpec(locked_phase=delta)),
+                           clean_params)
+    assert np.angle(state.coherence) == pytest.approx(-delta, abs=1e-12)
+    assert abs(state.coherence) == pytest.approx(IDEAL_COHERENCE, abs=1e-12)
 
 
 # -- demultiplexing reports ----------------------------------------------------

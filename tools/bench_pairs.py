@@ -24,6 +24,10 @@ side and workload, at the first seed, adds the per-layer metrics.  The
 record, named after the ``--out`` file, also holds ``nproc`` and the
 Python, numpy and scipy versions that the benchmark processes reported.
 
+After the benchmark runs, one tier-1 ``pytest --durations=0
+--durations-min=0`` run per checkout adds its wall time, its exit code and
+summary line, and the call duration of each ``test_criterion_*`` test.
+
 Both checkouts must be complete trees; every run writes its full record to
 that checkout's ``perfbench/out/``.
 """
@@ -34,8 +38,10 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 
@@ -64,6 +70,30 @@ def bench_run(checkout: str, workload: str, seed: int, seconds: float,
     env_line = next(line for line in lines if line.startswith("environment: "))
     result["env"] = json.loads(env_line.partition(": ")[2])
     return result
+
+
+def tier1_times(checkout: str) -> dict:
+    """One tier-1 test run: wall time, outcome and each acceptance
+    criterion's call duration, from ``pytest --durations=0``; a minimum
+    of 0 keeps the criteria that finish inside pytest's default 5 ms cut."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in ("src", env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "--durations=0", "--durations-min=0"],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    criteria = {}
+    for line in lines:
+        m = re.match(r"([0-9.]+)s call\s+\S+::(test_criterion_\w+)", line)
+        if m:
+            criteria[m.group(2)] = float(m.group(1))
+    return {"wall_s": wall, "exit_code": proc.returncode,
+            "summary": lines[-1] if lines else "",
+            "criteria_call_s": dict(sorted(criteria.items()))}
 
 
 def side_summary(values: list[float]) -> dict:
@@ -159,6 +189,7 @@ def main() -> int:
                       "the medians differ by more than the parent's IQR"),
         "end_to_end": end_to_end,
         "per_layer_trace1": per_layer,
+        "tier1_tests": {s: tier1_times(sides[s]) for s in sides},
     }
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
