@@ -3,9 +3,9 @@
 A hole spin in |h> is driven twice per window.  Each resonant pulse of area
 theta transfers the spin to the trion (and emits a Raman photon into its
 time bin) with probability sin^2(theta/2); the pulse area follows from the
-drive intensity as theta = theta_ref * sqrt(I / I_ref).  A pi/2 followed by
-a pi pulse therefore splits the emission 50/50 between the early and late
-bins and always produces exactly one photon.
+drive intensity as theta = (pi/2) sqrt(I), so an intensity of 1 is a pi/2
+pulse.  A pi/2 followed by a pi pulse therefore splits the emission 50/50
+between the early and late bins and always produces exactly one photon.
 
 Raman emission during the drive is only partly phase-coherent: modelling the
 pulse as a square drive of duration tau_p (Rabi rate Omega = theta / tau_p),
@@ -22,84 +22,45 @@ separated by dt retain a factor exp(-dt / T2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    PhysicalParams,
-    PulseSequence,
-    ResonantPulse,
-    TimeBinState,
-    validate,
-    write_csv,
-)
-
-# Intensity calibration: an intensity of 1.0 realises a pi/2 rotation.
-REFERENCE_INTENSITY = 1.0
-REFERENCE_ANGLE = math.pi / 2
+from .core import (PhysicalParams, PulseSequence, ResonantPulse, TimeBinState,
+                   validate, write_csv)
 
 
-@dataclass(frozen=True)
-class DriveDerived:
-    """Quantities derived from one pulse's drive settings."""
-
-    theta: float  # rotation angle (rad)
-    rabi: float  # angular Rabi frequency Omega = theta / tau_p (rad/ps)
+class _Drive(NamedTuple):
     excitation: float  # sin^2(theta/2)
     coherent_fraction: float  # coherent share of the emitted light
 
 
-def rotation_angle(intensity: float) -> float:
-    """Pulse area from drive intensity: theta scales with sqrt(intensity)."""
-    if intensity < 0:
-        raise ValueError("intensity must be >= 0")
-    return REFERENCE_ANGLE * math.sqrt(intensity / REFERENCE_INTENSITY)
-
-
-def intensity_for_angle(theta: float) -> float:
-    """Inverse of rotation_angle."""
-    if theta < 0:
-        raise ValueError("theta must be >= 0")
-    return REFERENCE_INTENSITY * (theta / REFERENCE_ANGLE) ** 2
-
-
-def excitation_probability(theta: float) -> float:
-    """Probability that a pulse of area theta excites the spin-trion transition."""
-    if theta < 0:
-        raise ValueError("theta must be >= 0")
-    return min(1.0, math.sin(theta / 2.0) ** 2)
-
-
-def coherent_fraction(gamma: float, rabi: float) -> float:
-    """Coherent share of Raman emission, 2 Gamma^2 / (2 Gamma^2 + Omega^2).
-
-    ``gamma`` is the radiative decay rate 1/T1 (1/ps) and ``rabi`` the
-    angular Rabi frequency of the drive (rad/ps).  Equals 1 in the weak
-    drive limit and falls monotonically with drive strength.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    if rabi < 0:
-        raise ValueError("rabi must be >= 0")
-    g2 = 2.0 * gamma * gamma
+def _coherent_fraction(theta: float, params: PhysicalParams) -> float:
+    """C(Gamma, Omega) of a square pulse of area ``theta``, Omega = theta / tau_p."""
+    rabi = theta / params.pulse_duration
+    g2 = 2.0 * params.gamma * params.gamma
     return g2 / (g2 + rabi * rabi)
 
 
-def derive_drive(pulse: ResonantPulse, params: PhysicalParams) -> DriveDerived:
-    theta = rotation_angle(pulse.intensity)
-    rabi = theta / params.pulse_duration
-    return DriveDerived(
-        theta=theta,
-        rabi=rabi,
-        excitation=excitation_probability(theta),
-        coherent_fraction=coherent_fraction(params.gamma, rabi),
-    )
+def _late_angle(p_gen: float) -> float:
+    """Area theta_2 = 2 asin(sqrt(p_gen)) of a pulse that excites with
+    probability ``p_gen``."""
+    if not 0.0 <= p_gen <= 1.0:
+        raise ValueError("p_gen must lie in [0, 1]")
+    return 2.0 * math.asin(math.sqrt(p_gen))
 
 
 def sequence_drives(sequence: PulseSequence,
-                    params: PhysicalParams) -> tuple[DriveDerived, ...]:
-    return tuple(derive_drive(p, params) for p in sequence.pulses)
+                    params: PhysicalParams) -> tuple[_Drive, ...]:
+    """Each pulse's (excitation, coherent_fraction), in sequence order: a
+    pulse of intensity I has area theta = (pi/2) sqrt(I), excites with
+    probability sin^2(theta/2) and emits the coherent share C(Gamma, Omega)."""
+    validate(sequence)
+    validate(params)
+    thetas = [math.pi / 2 * math.sqrt(p.intensity) for p in sequence.pulses]
+    return tuple(_Drive(excitation=min(1.0, math.sin(t / 2.0) ** 2),
+                        coherent_fraction=_coherent_fraction(t, params))
+                 for t in thetas)
 
 
 def two_pulse_sequence(scale: float = 1.0, phase2: float = 0.0) -> PulseSequence:
@@ -110,8 +71,8 @@ def two_pulse_sequence(scale: float = 1.0, phase2: float = 0.0) -> PulseSequence
     qubit phase of the generated time-bin state.
     """
     seq = PulseSequence(pulses=(
-        ResonantPulse(intensity=scale * REFERENCE_INTENSITY),
-        ResonantPulse(intensity=scale * 4.0 * REFERENCE_INTENSITY, phase=phase2),
+        ResonantPulse(intensity=float(scale)),
+        ResonantPulse(intensity=scale * 4.0, phase=phase2),
     ))
     validate(seq)
     return seq
@@ -119,10 +80,7 @@ def two_pulse_sequence(scale: float = 1.0, phase2: float = 0.0) -> PulseSequence
 
 def sequence_for_pgen(p_gen: float, phase2: float = 0.0) -> PulseSequence:
     """Two-pulse 1:4 drive whose *second* pulse excites with probability p_gen."""
-    if not 0.0 <= p_gen <= 1.0:
-        raise ValueError("p_gen must lie in [0, 1]")
-    theta2 = 2.0 * math.asin(math.sqrt(p_gen))
-    i2 = intensity_for_angle(theta2)
+    i2 = (_late_angle(p_gen) / (math.pi / 2)) ** 2
     return two_pulse_sequence(scale=i2 / 4.0, phase2=phase2)
 
 
@@ -137,9 +95,8 @@ def generate_state(sequence: PulseSequence, params: PhysicalParams) -> TimeBinSt
     Two free-running lasers of different colour redraw their relative phase
     every window, which averages the coherence to zero.
     """
-    validate(sequence)
+    d0, d1 = sequence_drives(sequence, params)
     p0, p1 = sequence.pulses
-    d0, d1 = derive_drive(p0, params), derive_drive(p1, params)
     h = params.p_hole_init
     p_early = h * d0.excitation
     p_late = h * (1.0 - d0.excitation) * d1.excitation
@@ -163,12 +120,10 @@ def expected_visibility(p_gen: float, params: PhysicalParams) -> float:
     (pi-like) pulse's excitation probability, whose Rabi rate dominates the
     coherence loss, so V = exp(-dt/T2) * C(Gamma, Omega_2).
     """
-    if not 0.0 <= p_gen <= 1.0:
-        raise ValueError("p_gen must lie in [0, 1]")
-    theta2 = 2.0 * math.asin(math.sqrt(p_gen))
-    rabi2 = theta2 / params.pulse_duration
+    theta2 = _late_angle(p_gen)
+    validate(params)
     dephasing = math.exp(-params.bin_separation / params.t2_spin)
-    return dephasing * coherent_fraction(params.gamma, rabi2)
+    return dephasing * _coherent_fraction(theta2, params)
 
 
 def visibility_curve(p_gen_grid, t1_list, params: PhysicalParams) -> list[tuple[float, float, float]]:

@@ -38,7 +38,8 @@ from numpy.random import Generator, Philox, SeedSequence
 from .core import (InsufficientStatisticsError, PhysicalParams, PulseSequence,
                    TimeBinState, ValidationError, write_csv)
 from .dynamics import sequence_drives
-from .montecarlo import CODE_BY_ORIGIN, EventStream, Origin, derived_seed, run
+from .montecarlo import (_MAX_STRAY_EVENTS, CODE_BY_ORIGIN, EventStream, Origin,
+                         derived_seed, run)
 
 _TAG_MICHELSON = 0x4D49
 _TAG_FILTER = 0x464C
@@ -377,13 +378,20 @@ def calibrate_background_for_g2(sequence: PulseSequence, params: PhysicalParams,
     in the experiment (reset light rejected, events gated to their own
     window) before correlating.  The analytic rate from
     :func:`background_rate_for_g2` seeds the upper bracket.  A target below
-    one expected zero-lag coincidence at the bracket's start, or beyond its
-    reach, raises :class:`InsufficientStatisticsError`.
+    one expected zero-lag coincidence at the bracket's start, beyond its
+    reach, or needing more stray events than one :func:`run` may hold,
+    raises :class:`InsufficientStatisticsError`.
     """
     if not 0 < target_g2 < 1:
         raise ValueError("target_g2 must lie in (0, 1)")
 
     def measured(rate: float) -> HbtResult:
+        stray = (rate + params.reset_flash_rate) * n_trajectories
+        if stray > _MAX_STRAY_EVENTS:
+            raise InsufficientStatisticsError(
+                f"target g2 {target_g2!r} needs background rates near {rate:.4g} "
+                f"per window: {stray:.4g} stray events in {n_trajectories} "
+                f"windows, more than one run may hold ({_MAX_STRAY_EVENTS:.0f})")
         p = replace(params, background_rate=rate)
         stream = run(sequence, p, n_trajectories, seed)
         prepared = gate(reject_reset_light(stream), 0.0,

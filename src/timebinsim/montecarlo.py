@@ -41,9 +41,10 @@ from .dynamics import sequence_drives
 # (~850 nm pump against ~940 nm emission, i.e. roughly +0.14 eV).
 RESET_FLASH_ENERGY_UEV = 1.396e5
 
-# A run holds about mean x windows stray events of a kind, so the bound
-# guards memory; 2**16 per window lies far above every physical rate.
-_MAX_STRAY_MEAN = 2.0 ** 16
+# Most stray events (reset flash plus background) a run may expect, rate
+# times windows.  Memory grows with the events: a 200,000-window run at the
+# bound peaks near 2.3 GB RSS.
+_MAX_STRAY_EVENTS = 2.0 ** 24
 
 _TWO_PI = 2.0 * np.pi
 
@@ -198,6 +199,8 @@ class EventStream:
                           "sequence": PulseSequence.from_dict(meta["sequence"]),
                           "seed": int(meta["seed"]),
                           "n_trajectories": int(meta["n_trajectories"])}
+            validate(provenance["params"])
+            validate(provenance["sequence"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed event-stream header: {path}: "
                              f"{type(exc).__name__}: {exc}") from None
@@ -360,11 +363,11 @@ def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
     validate(params)
     if n_trajectories < 0:
         raise ValueError("n_trajectories must be >= 0")
-    too_high = [f"{name}: must be <= {_MAX_STRAY_MEAN:g} events per window"
-                for name in ("background_rate", "reset_flash_rate")
-                if getattr(params, name) > _MAX_STRAY_MEAN]
-    if too_high:
-        raise ValidationError(too_high)
+    stray_mean = (params.background_rate + params.reset_flash_rate) * n_trajectories
+    if stray_mean > _MAX_STRAY_EVENTS:
+        raise ValidationError([
+            f"background_rate, reset_flash_rate: {n_trajectories} windows expect "
+            f"{stray_mean:.4g} stray events, more than {_MAX_STRAY_EVENTS:.0f}"])
 
     stray = {o: Generator(Philox(seed=SeedSequence([int(seed), CODE_BY_ORIGIN[o]])))
              for o in (Origin.RESET_FLASH, Origin.BACKGROUND)}

@@ -11,12 +11,13 @@ the qubit phase is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (InsufficientStatisticsError, LaserId, PhysicalParams,
-                   PulseSequence, ResonantPulse, validate, write_csv)
+                   PulseSequence, validate, write_csv)
+from .dynamics import two_pulse_sequence
 from .measurement import reject_reset_light, spectral_filter
 from .montecarlo import EventStream, run
 
@@ -60,16 +61,12 @@ def build_wdm_sequence(spec: WdmSpec | None = None) -> PulseSequence:
     spec = spec or WdmSpec()
     validate(spec)
     locked = spec.locked_phase is not None
+    early, late = two_pulse_sequence().pulses
     seq = PulseSequence(
-        pulses=(
-            ResonantPulse(intensity=1.0, laser_id=LaserId.RED,
-                          detuning=spec.red_detuning),
-            ResonantPulse(intensity=4.0,
-                          phase=spec.locked_phase if locked else 0.0,
-                          laser_id=LaserId.BLUE, detuning=spec.blue_detuning),
-        ),
-        random_interlaser_phase=not locked,
-    )
+        pulses=(replace(early, laser_id=LaserId.RED, detuning=spec.red_detuning),
+                replace(late, phase=spec.locked_phase if locked else 0.0,
+                        laser_id=LaserId.BLUE, detuning=spec.blue_detuning)),
+        random_interlaser_phase=not locked)
     validate(seq)
     return seq
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -405,6 +406,30 @@ def test_g2_calibrates_a_target_above_the_old_rate_cap(tmp_path, capsys):
     line = capsys.readouterr().out.splitlines()[-1]
     g2, se = (float(x) for x in line.split()[2:5:2])  # "g2(0) = X +- S (...)"
     assert abs(g2 - 0.5) < 5 * se
+
+
+def test_g2_calibration_beyond_one_runs_memory_fails_cleanly(tmp_path):
+    # the bracket starts near 1,261 background photons per window, 2.5e8
+    # stray events at the default 200,000 windows; the address-space cap
+    # turns a run that tried to hold them into a MemoryError instead of
+    # exhausting the host's memory
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    cap = 2 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "timebinsim.cli", "g2", "--calibrate-g2", "0.99999",
+         "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert "0.99999" in proc.stderr
+    assert time.monotonic() - start < 30
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,72 +1,76 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from timebinsim import (PhysicalParams, coherent_fraction,
-                        derive_drive, excitation_probability,
-                        expected_visibility, generate_state,
-                        intensity_for_angle, rotation_angle, sequence_drives,
-                        sequence_for_pgen, two_pulse_sequence,
+from timebinsim import (PhysicalParams, PulseSequence, ResonantPulse,
+                        ValidationError, expected_visibility, generate_state,
+                        sequence_drives, sequence_for_pgen, two_pulse_sequence,
                         visibility_curve)
 from timebinsim.dynamics import write_visibility_csv
 
+import oracle_mpmath
 from oracle_values import (C_HALF_PI, C_PI, DEPHASING, EXPECTED_VISIBILITY,
                            IDEAL_COHERENCE)
 
 
-def test_rotation_angle_reference_points():
-    assert rotation_angle(1.0) == pytest.approx(math.pi / 2)
-    assert rotation_angle(4.0) == pytest.approx(math.pi)
-    assert rotation_angle(0.0) == 0.0
+def _single_drive(intensity, params):
+    """sequence_drives of an early pulse at ``intensity`` (late pulse off)."""
+    seq = PulseSequence(pulses=(ResonantPulse(intensity=intensity),
+                                ResonantPulse(intensity=0.0)))
+    return sequence_drives(seq, params)[0]
 
 
-@given(st.floats(1e-6, 1e3))
-def test_intensity_for_angle_inverts_rotation_angle(intensity):
-    theta = rotation_angle(intensity)
-    assert intensity_for_angle(theta) == pytest.approx(intensity, rel=1e-12)
+def test_sequence_drives_excitation_landmarks(params):
+    d1, d2 = sequence_drives(two_pulse_sequence(), params)
+    assert (d1.excitation, d2.excitation) == pytest.approx((0.5, 1.0))
+    assert d1._fields == ("excitation", "coherent_fraction")
+    assert _single_drive(0.0, params).excitation == 0.0
 
 
-def test_excitation_probability_landmarks():
-    assert excitation_probability(0.0) == 0.0
-    assert excitation_probability(math.pi / 2) == pytest.approx(0.5)
-    assert excitation_probability(math.pi) == pytest.approx(1.0)
+def test_sequence_drives_coherent_fraction_frozen_values(params):
+    d1, d2 = sequence_drives(two_pulse_sequence(), params)
+    assert d1.coherent_fraction == pytest.approx(C_HALF_PI, abs=1e-15)
+    assert d2.coherent_fraction == pytest.approx(C_PI, abs=1e-15)
+    # the weak-drive limit is fully coherent
+    assert _single_drive(0.0, params).coherent_fraction == 1.0
 
 
-@given(st.floats(0, 4 * math.pi))
-def test_excitation_probability_stays_in_unit_interval(theta):
-    assert 0.0 <= excitation_probability(theta) <= 1.0
+@settings(derandomize=True, max_examples=300)
+@given(st.floats(0.0, 16.0))
+def test_sequence_drives_match_the_mpmath_closed_forms(intensity):
+    # the oracle's coherent_fraction holds the default T1 and pulse width
+    drive = _single_drive(intensity, PhysicalParams())
+    theta = mp.pi / 2 * mp.sqrt(mp.mpf(intensity))
+    # sin^2 vanishes at theta = 2 pi (intensity 16), where only an absolute
+    # accuracy of a few ulps of theta is possible
+    assert drive.excitation == pytest.approx(float(mp.sin(theta / 2) ** 2),
+                                             rel=1e-13, abs=1e-15)
+    assert drive.coherent_fraction == pytest.approx(
+        float(oracle_mpmath.coherent_fraction(theta)), rel=1e-13)
+    assert 0.0 <= drive.excitation <= 1.0
 
 
-def test_coherent_fraction_against_frozen_values(params):
-    assert coherent_fraction(params.gamma, (math.pi / 2) / 1000.0) == \
-        pytest.approx(C_HALF_PI, abs=1e-15)
-    assert coherent_fraction(params.gamma, math.pi / 1000.0) == \
-        pytest.approx(C_PI, abs=1e-15)
-    assert coherent_fraction(params.gamma, 0.0) == 1.0
-
-
-def test_coherent_fraction_monotone_in_drive(params):
-    rabis = np.linspace(0.0, 0.05, 40)
-    vals = [coherent_fraction(params.gamma, r) for r in rabis]
+def test_coherent_fraction_falls_with_drive(params):
+    vals = [_single_drive(i, params).coherent_fraction
+            for i in np.linspace(0.0, 16.0, 40)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_coherent_fraction_rejects_bad_rates():
-    with pytest.raises(ValueError):
-        coherent_fraction(0.0, 1.0)
-    with pytest.raises(ValueError):
-        coherent_fraction(1.0, -1.0)
-
-
-def test_derive_drive_bundles_consistently(params):
-    seq = two_pulse_sequence()
-    d1, d2 = sequence_drives(seq, params)
-    assert d1.theta == pytest.approx(math.pi / 2)
-    assert d2.theta == pytest.approx(math.pi)
-    assert d2.rabi == pytest.approx(math.pi / params.pulse_duration)
-    assert (d1.excitation, d2.excitation) == pytest.approx((0.5, 1.0))
+def test_sequence_drives_rejects_bad_inputs(params):
+    with pytest.raises(ValidationError, match="t1_radiative"):
+        sequence_drives(two_pulse_sequence(), PhysicalParams(t1_radiative=-250.0))
+    with pytest.raises(ValidationError, match="intensity"):
+        _single_drive(-1.0, params)
+    three = PulseSequence(pulses=(ResonantPulse(intensity=1.0),) * 3)
+    with pytest.raises(ValidationError, match="two pulses"):
+        sequence_drives(three, params)
+    with pytest.raises(ValidationError, match="t1_radiative"):
+        generate_state(two_pulse_sequence(), PhysicalParams(t1_radiative=-250.0))
+    with pytest.raises(ValidationError, match="t1_radiative"):
+        expected_visibility(0.5, PhysicalParams(t1_radiative=-250.0))
 
 
 def test_two_pulse_sequence_shape():

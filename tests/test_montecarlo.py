@@ -11,7 +11,8 @@ from numpy.random import Generator, Philox, SeedSequence
 from scipy import stats
 
 from timebinsim import (EventStream, Origin, PhysicalParams, PulseSequence,
-                        ResonantPulse, montecarlo, run, two_pulse_sequence)
+                        ResonantPulse, ValidationError, montecarlo, run,
+                        two_pulse_sequence)
 from timebinsim.montecarlo import CODE_BY_ORIGIN, RESET_FLASH_ENERGY_UEV
 
 from oracle_values import C_HALF_PI, C_PI
@@ -290,12 +291,42 @@ def test_binary_round_trip_restores_provenance(tmp_path, params):
         short.write_bytes(whole[:cut])
         with pytest.raises(ValueError, match="truncated"):
             EventStream.from_binary(short)
-    for header in (b"{}", b"[1]", b"xx"):
+    # headers that parse but break an invariant of the params or sequence
+    def edited(change):
+        meta = json.loads(whole[8:8 + hlen])
+        change(meta["params"], meta["sequence"]["pulses"])
+        return json.dumps(meta).encode()
+
+    invalid = (edited(lambda params, pulses: params.update(t1_radiative=-250.0)),
+               edited(lambda params, pulses: pulses[0].update(intensity=-1.0)),
+               edited(lambda params, pulses: pulses.append(pulses[0])))
+    for header in (b"{}", b"[1]", b"xx", *invalid):
         bad = tmp_path / "bad_header.bin"
         bad.write_bytes(b"TBQ1" + len(header).to_bytes(4, "little") + header
                         + (0).to_bytes(8, "little"))
         with pytest.raises(ValueError, match="malformed event-stream header"):
             EventStream.from_binary(bad)
+
+
+def test_run_bounds_its_expected_stray_events(params, monkeypatch):
+    class Drawn(Exception):
+        pass
+
+    def block(*args, **kwargs):
+        raise Drawn
+
+    monkeypatch.setattr(montecarlo, "_simulate_block", block)
+    bound = montecarlo._MAX_STRAY_EVENTS
+    seq = two_pulse_sequence()
+    # (background + reset flash) x windows, just under and just over the bound
+    under = replace(params, background_rate=bound / 1000 - 0.2)
+    with pytest.raises(Drawn):
+        run(seq, under, 1000, seed=0)
+    over = replace(params, background_rate=bound / 1000)
+    with pytest.raises(ValidationError, match="stray events"):
+        run(seq, over, 1000, seed=0)
+    with pytest.raises(ValidationError, match="stray events"):
+        run(seq, replace(params, reset_flash_rate=1.0), int(bound) + 1, seed=0)
 
 
 def test_run_validates_inputs(params):

@@ -28,6 +28,11 @@ After the benchmark runs, one tier-1 ``pytest --durations=0
 --durations-min=0`` run per checkout adds its wall time, its exit code and
 summary line, and the call duration of each ``test_criterion_*`` test.
 
+Each checkout's code size goes in ``size``: ``src_lines``, the lines of
+``src/timebinsim/*.py``, and ``public_names``, the length of the
+``__all__`` list in ``src/timebinsim/__init__.py``, read with ``ast`` so
+that neither checkout is imported.
+
 Both checkouts must be complete trees; every run writes its full record to
 that checkout's ``perfbench/out/``.
 """
@@ -35,6 +40,8 @@ that checkout's ``perfbench/out/``.
 from __future__ import annotations
 
 import argparse
+import ast
+import glob
 import json
 import math
 import os
@@ -94,6 +101,22 @@ def tier1_times(checkout: str) -> dict:
     return {"wall_s": wall, "exit_code": proc.returncode,
             "summary": lines[-1] if lines else "",
             "criteria_call_s": dict(sorted(criteria.items()))}
+
+
+def code_size(checkout: str) -> dict:
+    """Lines of ``src/timebinsim/*.py`` (as ``wc -l`` counts them) and the
+    number of names in the package's ``__all__``."""
+    pkg = os.path.join(checkout, "src", "timebinsim")
+    lines = 0
+    for path in glob.glob(os.path.join(pkg, "*.py")):
+        with open(path) as fh:
+            lines += fh.read().count("\n")
+    with open(os.path.join(pkg, "__init__.py")) as fh:
+        tree = ast.parse(fh.read())
+    public = next(node.value for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    return {"src_lines": lines, "public_names": len(ast.literal_eval(public))}
 
 
 def side_summary(values: list[float]) -> dict:
@@ -190,6 +213,7 @@ def main() -> int:
         "end_to_end": end_to_end,
         "per_layer_trace1": per_layer,
         "tier1_tests": {s: tier1_times(sides[s]) for s in sides},
+        "size": {s: code_size(sides[s]) for s in sides},
     }
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
