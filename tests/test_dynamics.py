@@ -23,14 +23,28 @@ def _single_drive(intensity, params):
     return sequence_drives(seq, params)[0]
 
 
-def test_sequence_drives_excitation_landmarks(params):
+def test_excitation_probability_landmarks(params):
     d1, d2 = sequence_drives(two_pulse_sequence(), params)
     assert (d1.excitation, d2.excitation) == pytest.approx((0.5, 1.0))
-    assert d1._fields == ("excitation", "coherent_fraction")
     assert _single_drive(0.0, params).excitation == 0.0
 
 
-def test_sequence_drives_coherent_fraction_frozen_values(params):
+@given(st.floats(0.0, 64.0))
+def test_excitation_probability_stays_in_unit_interval(intensity):
+    # pulse areas up to 4 pi, past the clamp at the pi pulse
+    assert 0.0 <= _single_drive(intensity, PhysicalParams()).excitation <= 1.0
+
+
+def test_derive_drive_bundles_consistently(params):
+    # each record belongs to its own pulse: reversing the pulses reverses
+    # the records, and a record holds exactly the two drive numbers
+    d1, d2 = sequence_drives(two_pulse_sequence(), params)
+    p1, p2 = two_pulse_sequence().pulses
+    assert sequence_drives(PulseSequence(pulses=(p2, p1)), params) == (d2, d1)
+    assert d1._fields == ("excitation", "coherent_fraction")
+
+
+def test_coherent_fraction_against_frozen_values(params):
     d1, d2 = sequence_drives(two_pulse_sequence(), params)
     assert d1.coherent_fraction == pytest.approx(C_HALF_PI, abs=1e-15)
     assert d2.coherent_fraction == pytest.approx(C_PI, abs=1e-15)
@@ -53,17 +67,23 @@ def test_sequence_drives_match_the_mpmath_closed_forms(intensity):
     assert 0.0 <= drive.excitation <= 1.0
 
 
-def test_coherent_fraction_falls_with_drive(params):
+def test_coherent_fraction_monotone_in_drive(params):
     vals = [_single_drive(i, params).coherent_fraction
             for i in np.linspace(0.0, 16.0, 40)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def test_coherent_fraction_rejects_bad_rates(params):
+    # Gamma = 1/T1 must be positive and the Rabi rate finite and >= 0
+    for t1 in (0.0, -250.0):
+        with pytest.raises(ValidationError, match="t1_radiative"):
+            sequence_drives(two_pulse_sequence(), PhysicalParams(t1_radiative=t1))
+    for intensity in (-1.0, math.inf):
+        with pytest.raises(ValidationError, match="intensity"):
+            _single_drive(intensity, params)
+
+
 def test_sequence_drives_rejects_bad_inputs(params):
-    with pytest.raises(ValidationError, match="t1_radiative"):
-        sequence_drives(two_pulse_sequence(), PhysicalParams(t1_radiative=-250.0))
-    with pytest.raises(ValidationError, match="intensity"):
-        _single_drive(-1.0, params)
     three = PulseSequence(pulses=(ResonantPulse(intensity=1.0),) * 3)
     with pytest.raises(ValidationError, match="two pulses"):
         sequence_drives(three, params)
