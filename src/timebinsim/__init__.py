@@ -5,8 +5,9 @@ from .core import (BlochVector, ConfigError, InsufficientStatisticsError,
                    LaserId, PhysicalParams, PulseSequence, ResonantPulse,
                    TimeBinState, ValidationError, load_params, purity_bound,
                    validate)
-from .dynamics import (expected_visibility, generate_state, sequence_drives,
-                       sequence_for_pgen, two_pulse_sequence, visibility_curve)
+from .dynamics import (expected_visibility, generate_state,
+                       sequence_drives, sequence_for_pgen,
+                       two_pulse_sequence, visibility_curve)
 from .measurement import (FringeScan, HbtResult, MichelsonResult,
                           background_rate_for_g2, calibrate_background_for_g2,
                           filter_transmission, fringe_scan, gate, hbt_g2,
@@ -23,15 +24,17 @@ __version__ = "0.1.0"
 __all__ = [
     "BlochVector", "ConfigError", "EventStream", "FringeFit", "FringeScan",
     "HbtResult", "InsufficientStatisticsError", "LaserId",
-    "MichelsonResult", "Origin", "PhysicalParams", "PulseSequence",
-    "RecoveryReport", "ResonantPulse", "TimeBinState", "ValidationError",
-    "WdmSpec", "background_rate_for_g2", "bloch_of_state",
-    "build_wdm_sequence", "calibrate_background_for_g2",
-    "direction_fidelity", "expected_visibility", "fidelity",
-    "filter_transmission", "fit_fringe", "fringe_scan", "gate",
-    "generate_state", "hbt_g2", "load_params", "michelson",
-    "michelson_expected", "purity_bound", "qubit_phase", "reconstruct",
-    "recovery_report", "reject_reset_light", "run", "sequence_drives",
-    "sequence_for_pgen", "spectral_filter", "two_pulse_sequence",
-    "unwrap_phases", "validate", "visibility_curve", "write_states_csv",
+    "MichelsonResult", "Origin", "PhysicalParams",
+    "PulseSequence", "RecoveryReport", "ResonantPulse", "TimeBinState",
+    "ValidationError", "WdmSpec", "background_rate_for_g2",
+    "bloch_of_state", "build_wdm_sequence", "calibrate_background_for_g2",
+    "direction_fidelity", "expected_visibility",
+    "fidelity", "filter_transmission", "fit_fringe", "fringe_scan", "gate",
+    "generate_state", "hbt_g2", "load_params",
+    "michelson", "michelson_expected", "purity_bound", "qubit_phase",
+    "reconstruct", "recovery_report", "reject_reset_light",
+    "run", "sequence_drives", "sequence_for_pgen",
+    "spectral_filter",
+    "two_pulse_sequence", "unwrap_phases", "validate", "visibility_curve",
+    "write_states_csv",
 ]

@@ -26,8 +26,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (PhysicalParams, PulseSequence, ResonantPulse, TimeBinState,
-                   validate, write_csv)
+from .core import (
+    PhysicalParams,
+    PulseSequence,
+    ResonantPulse,
+    TimeBinState,
+    validate,
+    write_csv,
+)
+
+# Intensity calibration: a pulse of intensity I has area (pi/2) sqrt(I).
+_HALF_PI = math.pi / 2
 
 
 class _Drive(NamedTuple):
@@ -57,7 +66,7 @@ def sequence_drives(sequence: PulseSequence,
     probability sin^2(theta/2) and emits the coherent share C(Gamma, Omega)."""
     validate(sequence)
     validate(params)
-    thetas = [math.pi / 2 * math.sqrt(p.intensity) for p in sequence.pulses]
+    thetas = [_HALF_PI * math.sqrt(p.intensity) for p in sequence.pulses]
     return tuple(_Drive(excitation=min(1.0, math.sin(t / 2.0) ** 2),
                         coherent_fraction=_coherent_fraction(t, params))
                  for t in thetas)
@@ -80,7 +89,7 @@ def two_pulse_sequence(scale: float = 1.0, phase2: float = 0.0) -> PulseSequence
 
 def sequence_for_pgen(p_gen: float, phase2: float = 0.0) -> PulseSequence:
     """Two-pulse 1:4 drive whose *second* pulse excites with probability p_gen."""
-    i2 = (_late_angle(p_gen) / (math.pi / 2)) ** 2
+    i2 = (_late_angle(p_gen) / _HALF_PI) ** 2
     return two_pulse_sequence(scale=i2 / 4.0, phase2=phase2)
 
 
@@ -131,7 +140,6 @@ def visibility_curve(p_gen_grid, t1_list, params: PhysicalParams) -> list[tuple[
     rows = []
     for t1 in t1_list:
         p = PhysicalParams(**{**params.to_dict(), "t1_radiative": float(t1)})
-        validate(p)
         for pg in np.asarray(p_gen_grid, dtype=float):
             rows.append((float(pg), float(t1), expected_visibility(float(pg), p)))
     return rows

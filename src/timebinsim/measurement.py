@@ -36,10 +36,9 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .core import (InsufficientStatisticsError, PhysicalParams, PulseSequence,
-                   TimeBinState, ValidationError, write_csv)
+                   TimeBinState, ValidationError, validate, write_csv)
 from .dynamics import sequence_drives
-from .montecarlo import (_MAX_STRAY_EVENTS, CODE_BY_ORIGIN, EventStream, Origin,
-                         derived_seed, run)
+from .montecarlo import CODE_BY_ORIGIN, EventStream, Origin, derived_seed, run
 
 _TAG_MICHELSON = 0x4D49
 _TAG_FILTER = 0x464C
@@ -384,16 +383,17 @@ def calibrate_background_for_g2(sequence: PulseSequence, params: PhysicalParams,
     """
     if not 0 < target_g2 < 1:
         raise ValueError("target_g2 must lie in (0, 1)")
+    validate(sequence)
+    validate(params)
 
     def measured(rate: float) -> HbtResult:
-        stray = (rate + params.reset_flash_rate) * n_trajectories
-        if stray > _MAX_STRAY_EVENTS:
-            raise InsufficientStatisticsError(
-                f"target g2 {target_g2!r} needs background rates near {rate:.4g} "
-                f"per window: {stray:.4g} stray events in {n_trajectories} "
-                f"windows, more than one run may hold ({_MAX_STRAY_EVENTS:.0f})")
         p = replace(params, background_rate=rate)
-        stream = run(sequence, p, n_trajectories, seed)
+        try:
+            stream = run(sequence, p, n_trajectories, seed)
+        except ValidationError as exc:  # only the run's stray-event bound is left
+            raise InsufficientStatisticsError(
+                f"target g2 {target_g2!r} needs background rates near "
+                f"{rate:.4g} per window: {exc}") from None
         prepared = gate(reject_reset_light(stream), 0.0,
                         p.window_ps(sequence.n_bins))
         return hbt_g2(prepared, window=window)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from timebinsim import EventStream, PhysicalParams, run, sequence_for_pgen
-from timebinsim import cli, measurement
+from timebinsim import cli, measurement, montecarlo
 from timebinsim.cli import main
 from timebinsim.core import PARAM_FIELDS
 
@@ -412,23 +412,40 @@ def test_g2_calibration_beyond_one_runs_memory_fails_cleanly(tmp_path):
     # the bracket starts near 1,261 background photons per window, 2.5e8
     # stray events at the default 200,000 windows; the address-space cap
     # turns a run that tried to hold them into a MemoryError instead of
-    # exhausting the host's memory
+    # exhausting the host's memory.  One-thread BLAS pools keep the import
+    # of numpy and scipy far below the cap on hosts with many cores.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     cap = 2 << 30
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    start = time.monotonic()
+    threads = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+                                "VECLIB_MAXIMUM_THREADS")}
     proc = subprocess.run(
         [sys.executable, "-m", "timebinsim.cli", "g2", "--calibrate-g2", "0.99999",
          "--out", str(tmp_path / "o")],
-        env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit,
+        env={**os.environ, **threads, "PYTHONPATH": src}, preexec_fn=limit,
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
     assert "0.99999" in proc.stderr
-    assert time.monotonic() - start < 30
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_g2_calibration_beyond_one_runs_memory_draws_nothing(tmp_path, capsys,
+                                                            monkeypatch):
+    # the bound is checked before the first run draws a single event
+    def block(*args, **kwargs):
+        raise AssertionError("a window was simulated")
+
+    monkeypatch.setattr(montecarlo, "_simulate_block", block)
+    assert main(["g2", "--calibrate-g2", "0.99999",
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "0.99999" in err and "stray events" in err
     assert list(tmp_path.iterdir()) == []
 
 
