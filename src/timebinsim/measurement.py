@@ -167,22 +167,28 @@ def michelson(stream: EventStream, interferometer_phase: float = 0.0, *,
                            n_input=len(stream))
 
 
-def michelson_expected(state: TimeBinState, interferometer_phase: float,
-                       params: PhysicalParams) -> tuple[float, float, float]:
+def michelson_expected(state: TimeBinState,
+                       interferometer_phase: float) -> tuple[float, float, float]:
     """Analytic per-window detection probabilities (early side, middle, late side).
 
     The side peaks are phase-independent at a quarter of each bin's
-    occupation; the overlap slot carries the cross-bin coherence::
+    occupation; the overlap slot carries the state's degree of coherence
+    ``D`` as its fringe visibility::
 
-        middle = (p_early + p_late)/4 + |coh|/2 * cos(arg(coh) + phase_if)
+        middle = (p_early + p_late)/4 * (1 + D * cos(arg(coh) + phase_if)),
+        D = |coh| / sqrt(p_early * p_late)
 
-    The routing counts these side peaks but not this middle term: its
-    fringe visibility is C_min * exp(-dt/T2) (``expected_visibility``) at
-    any bin balance, not 2|coh|/(p_early + p_late), which holds sqrt(C_0 C_1).
+    That is the visibility :func:`~timebinsim.tomography.reconstruct`
+    assumes, at any bin balance.  The state's coherence holds the pulses'
+    coherent fractions as sqrt(C_0 C_1), the routing's fringe as C_min
+    (``expected_visibility``), so the two agree when both pulses have the
+    same intensity.
     """
-    chi = float(np.angle(state.coherence)) if state.coherence else 0.0
-    mag = abs(state.coherence)
-    middle = 0.25 * (state.p_early + state.p_late) + 0.5 * mag * np.cos(chi + interferometer_phase)
+    balance = np.sqrt(state.p_early * state.p_late)
+    degree = abs(state.coherence) / balance if balance else 0.0
+    chi = float(np.angle(state.coherence))
+    middle = 0.25 * (state.p_early + state.p_late) * (
+        1.0 + degree * np.cos(chi + interferometer_phase))
     return (0.25 * state.p_early, float(middle), 0.25 * state.p_late)
 
 

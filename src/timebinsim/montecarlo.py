@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import json
 import struct
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,10 +44,13 @@ RESET_FLASH_ENERGY_UEV = 1.396e5
 
 # Most stray events (reset flash plus background) a run may expect, rate
 # times windows.  Memory grows with the events: a 200,000-window run at the
-# bound peaks near 2.3 GB RSS.
+# bound peaks near 1.05 GB RSS.
 _MAX_STRAY_EVENTS = 2.0 ** 24
 
 _TWO_PI = 2.0 * np.pi
+
+# Events per write of the event CSV writer: bounds its row strings in memory.
+_CSV_CHUNK = 1 << 16
 
 
 class Origin(enum.Enum):
@@ -66,6 +70,41 @@ _COLUMNS = ("trajectory_id", "timestamp_ps", "energy_uev", "origin",
 _DTYPES = {"trajectory_id": np.int64, "timestamp_ps": np.float64,
            "energy_uev": np.float64, "origin": np.uint8,
            "phase_rad": np.float64, "bin_index": np.int32}
+
+
+def _stream_order(traj: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Permutation into stream order, that of ``np.lexsort((t, traj))``: a
+    stable sort by window, then a time sort of the windows holding several
+    events."""
+    order = np.argsort(traj, kind="stable")
+    same = traj[order[1:]] == traj[order[:-1]]
+    shared = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+    sub = order[shared]
+    order[shared] = sub[np.lexsort((t[sub], traj[sub]))]
+    return order
+
+
+def _csv_row_problem(path, code_by_name: dict[str, int]) -> str | None:
+    """Line number and fault of the first bad event row of a CSV, found by a
+    slow field-by-field read once the fast one has failed."""
+    with open(path) as fh:
+        next(fh)
+        for number, line in enumerate(fh, start=2):
+            fields = line.rstrip("\n").split(",")
+            if fields == [""]:  # empty lines are skipped, as the fast read does
+                continue
+            if len(fields) != len(_COLUMNS):
+                return f"line {number}: {len(fields)} fields, not {len(_COLUMNS)}"
+            for name, text in zip(_COLUMNS, fields):
+                if name == "origin":
+                    if text not in code_by_name:
+                        return f"line {number}: unknown origin {text!r}"
+                    continue
+                try:
+                    np.array([text]).astype(_DTYPES[name])
+                except (ValueError, OverflowError):
+                    return f"line {number}: bad {name} {text!r}"
+    return None
 
 
 @dataclass
@@ -91,16 +130,10 @@ class EventStream:
                            columns=cols)
 
     def _sort(self) -> np.ndarray:
-        """Put the events in stream order; returns the permutation applied,
-        that of ``np.lexsort((timestamp, trajectory_id))``: a stable sort by
-        window, then a time sort of the windows holding several events."""
+        """Put the events in stream order; returns the permutation applied
+        (see :func:`_stream_order`)."""
         c = self.columns
-        traj, t = c["trajectory_id"], c["timestamp_ps"]
-        order = np.argsort(traj, kind="stable")
-        same = traj[order[1:]] == traj[order[:-1]]
-        shared = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
-        sub = order[shared]
-        order[shared] = sub[np.lexsort((t[sub], traj[sub]))]
+        order = _stream_order(c["trajectory_id"], c["timestamp_ps"])
         self.columns = {k: v[order] for k, v in c.items()}
         return order
 
@@ -116,38 +149,39 @@ class EventStream:
     # -- serialisation -----------------------------------------------------
 
     def to_csv(self, path) -> None:
-        from .core import format_float
-        lines = [",".join(_COLUMNS)]
+        """One row per event; every float in its shortest round-trip repr,
+        as :func:`~timebinsim.core.format_float` writes it."""
         c = self.columns
-        for i in range(len(self)):
-            lines.append(
-                f"{c['trajectory_id'][i]},{format_float(c['timestamp_ps'][i])},"
-                f"{format_float(c['energy_uev'][i])},"
-                f"{ORIGIN_BY_CODE[int(c['origin'][i])].value},"
-                f"{format_float(c['phase_rad'][i])},{c['bin_index'][i]}")
+        names = [ORIGIN_BY_CODE[code].value for code in range(len(ORIGIN_BY_CODE))]
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(_COLUMNS) + "\n")
+            for lo in range(0, len(self), _CSV_CHUNK):
+                traj, t, e, origin, p, b = (c[k][lo:lo + _CSV_CHUNK].tolist()
+                                            for k in _COLUMNS)
+                fh.write("".join(
+                    f"{i},{ti!r},{ei!r},{names[o]},{pi!r},{bi}\n"
+                    for i, ti, ei, o, pi, bi in zip(traj, t, e, origin, p, b)))
 
     @classmethod
     def from_csv(cls, path, *, params, sequence, seed=0, n_trajectories=0) -> "EventStream":
-        name_by_value = {o.value: c for c, o in ORIGIN_BY_CODE.items()}
-        rows = []
+        """Read what :meth:`to_csv` writes; a malformed row or an unknown
+        origin raises ``ValueError`` naming its line (the header is line 1)."""
+        code_by_name = {o.value: c for c, o in ORIGIN_BY_CODE.items()}
+        converters = {_COLUMNS.index("origin"): code_by_name.__getitem__}
         with open(path) as fh:
             header = fh.readline().strip()
             if header != ",".join(_COLUMNS):
                 raise ValueError(f"unexpected event CSV header: {header!r}")
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append(line.split(","))
-        cols = {
-            "trajectory_id": np.array([int(r[0]) for r in rows], np.int64),
-            "timestamp_ps": np.array([float(r[1]) for r in rows], np.float64),
-            "energy_uev": np.array([float(r[2]) for r in rows], np.float64),
-            "origin": np.array([name_by_value[r[3]] for r in rows], np.uint8),
-            "phase_rad": np.array([float(r[4]) for r in rows], np.float64),
-            "bin_index": np.array([int(r[5]) for r in rows], np.int32),
-        }
+            try:
+                with warnings.catch_warnings():  # a header-only file is an empty stream
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    rec = np.loadtxt(fh, dtype=[(k, _DTYPES[k]) for k in _COLUMNS],
+                                     delimiter=",", comments=None, ndmin=1,
+                                     converters=converters)
+            except ValueError as exc:
+                problem = _csv_row_problem(path, code_by_name) or exc
+                raise ValueError(f"malformed event CSV {path}: {problem}") from None
+        cols = {k: np.ascontiguousarray(rec[k]) for k in _COLUMNS}
         return cls(params=params, sequence=sequence, seed=seed,
                    n_trajectories=n_trajectories, columns=cols)
 
@@ -237,6 +271,8 @@ def derived_seed(*entropy: int) -> int:
 def _poisson_counts(rate: float, u: np.ndarray) -> np.ndarray:
     """Poisson(rate) counts by inverse CDF of the uniforms ``u``; the table
     grows until it covers the largest uniform, so no count is truncated."""
+    if rate == 0.0:
+        return np.zeros(len(u), np.intp)
     size = 16
     while (cdf := np.maximum.accumulate(pdtr(np.arange(size), rate)))[-1] <= u.max():
         size *= 2
@@ -251,7 +287,10 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
                     draws: np.ndarray, traj_start: int,
                     stray: dict[Origin, Generator]) -> dict[str, np.ndarray]:
     """Vectorised kernel: one row of uniform draws per trajectory, plus one
-    counter tick per stray event from that kind's generator in ``stray``."""
+    counter tick per stray event from that kind's generator in ``stray``.
+
+    Drops its references to ``draws`` once read, so a caller that keeps
+    none lets the block's uniforms go before the stray events are drawn."""
     m = draws.shape[0]
     traj_ids = np.arange(traj_start, traj_start + m, dtype=np.int64)
 
@@ -332,9 +371,11 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
     # Each event of a kind takes the next counter tick (four uniforms) of
     # that kind's generator, in (window, j) order; chunks are drawn in window
     # order, so the events never depend on the chunking.
-    for origin, rate, slot in ((Origin.RESET_FLASH, params.reset_flash_rate, _FLASH_COUNT),
-                               (Origin.BACKGROUND, params.background_rate, _BG_COUNT)):
-        count = _poisson_counts(rate, draws[:, slot])
+    counts = [(origin, _poisson_counts(rate, draws[:, slot])) for origin, rate, slot in (
+        (Origin.RESET_FLASH, params.reset_flash_rate, _FLASH_COUNT),
+        (Origin.BACKGROUND, params.background_rate, _BG_COUNT))]
+    del draws, rows
+    for origin, count in counts:
         u = stray[origin].random((int(count.sum()), 4))
         if origin is Origin.RESET_FLASH:
             t, energy = np.zeros(len(u)), np.full(len(u), RESET_FLASH_ENERGY_UEV)
@@ -348,8 +389,15 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
             "phase_rad": _TWO_PI * u[:, 1],
             "bin_index": np.clip(t / dt_ps, 0, sequence.n_bins - 1).astype(np.int32),
         })
+        del u
 
-    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+    return _concatenate(parts)
+
+
+def _concatenate(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Columns of ``parts`` joined in order, one column at a time, each
+    part's pieces of a column dropped as soon as that column is joined."""
+    return {key: np.concatenate([p.pop(key) for p in parts]) for key in _COLUMNS}
 
 
 def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
@@ -371,22 +419,21 @@ def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
 
     stray = {o: Generator(Philox(seed=SeedSequence([int(seed), CODE_BY_ORIGIN[o]])))
              for o in (Origin.RESET_FLASH, Origin.BACKGROUND)}
+    # Blocks cover disjoint, increasing window ranges, so sorting each block
+    # as it comes and joining them gives the whole stream's sort.
     pieces: list[dict[str, np.ndarray]] = []
     start = 0
     while start < n_trajectories:
         m = min(chunk_size, n_trajectories - start)
         bg = Philox(seed=SeedSequence(int(seed)))
         bg.advance(start * _WIDTH // 4)
-        draws = Generator(bg).random((m, _WIDTH))
-        pieces.append(_simulate_block(sequence, params, draws, traj_start=start,
-                                      stray=stray))
+        block = _simulate_block(sequence, params, Generator(bg).random((m, _WIDTH)),
+                                traj_start=start, stray=stray)
+        order = _stream_order(block["trajectory_id"], block["timestamp_ps"])
+        pieces.append({k: block.pop(k)[order] for k in _COLUMNS})
         start += m
 
-    if pieces:
-        cols = {k: np.concatenate([p[k] for p in pieces]) for k in pieces[0]}
-    else:
-        cols = {k: np.empty(0, _DTYPES[k]) for k in _COLUMNS}
-    stream = EventStream(params=params, sequence=sequence, seed=int(seed),
-                         n_trajectories=int(n_trajectories), columns=cols)
-    stream._sort()
-    return stream
+    cols = (_concatenate(pieces) if pieces
+            else {k: np.empty(0, _DTYPES[k]) for k in _COLUMNS})
+    return EventStream(params=params, sequence=sequence, seed=int(seed),
+                       n_trajectories=int(n_trajectories), columns=cols)

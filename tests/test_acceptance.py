@@ -169,7 +169,7 @@ def test_criterion_7_tomography_round_trip():
         counts = {}
         for tag, st in (("ref", generate_state(sequence_for_pgen(1.0), CLEAN)),
                         ("mod", state)):
-            counts[tag] = [1e6 * michelson_expected(st, float(phi), CLEAN)[1]
+            counts[tag] = [1e6 * michelson_expected(st, float(phi))[1]
                            for phi in SCAN_PHASES]
         ref = fit_fringe(SCAN_PHASES, counts["ref"])
         mod = fit_fringe(SCAN_PHASES, counts["mod"])

@@ -69,10 +69,10 @@ def test_michelson_conserves_every_photon(photon_stream):
 
 def test_michelson_expected_plus_state():
     plus = TimeBinState(p_early=0.5, p_late=0.5, coherence=0.5)
-    early, middle, late = michelson_expected(plus, 0.0, None)
+    early, middle, late = michelson_expected(plus, 0.0)
     assert (early, late) == (0.125, 0.125)
     assert middle == pytest.approx(0.5)
-    _, dark, _ = michelson_expected(plus, math.pi, None)
+    _, dark, _ = michelson_expected(plus, math.pi)
     assert dark == pytest.approx(0.0, abs=1e-15)
 
 
@@ -209,8 +209,23 @@ def test_live_scan_side_peaks_match_michelson_expected(params, p_hole_init):
     windows = 20_000 * phases.size
     state = generate_state(seq, noisy)
     for counts, slot in ((scan.early_side_counts, 0), (scan.late_side_counts, 2)):
-        p = michelson_expected(state, 0.0, noisy)[slot]
+        p = michelson_expected(state, 0.0)[slot]
         assert abs(counts.sum() / windows - p) < 3.0 * math.sqrt(p * (1.0 - p) / windows)
+
+
+def test_live_scan_middle_slot_matches_michelson_expected(clean_params):
+    # equal intensities give both pulses one coherent fraction, so the
+    # state's sqrt(C_0 C_1) is the routing's C_min; the bins hold 1/2 and 1/4
+    seq = PulseSequence(pulses=(ResonantPulse(intensity=1.0),
+                                ResonantPulse(intensity=1.0, phase=0.9)))
+    state = generate_state(seq, clean_params)
+    assert state.p_early == pytest.approx(2.0 * state.p_late)
+    phases = np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)
+    n = 50_000
+    scan = fringe_scan(seq, phases, params=clean_params, n_trajectories=n, seed=33)
+    for phi, count in zip(phases, scan.middle_counts):
+        p = michelson_expected(state, phi)[1]
+        assert abs(count / n - p) < 3.0 * math.sqrt(p * (1.0 - p) / n), phi
 
 
 def test_fringe_scan_modulates_middle_counts(photon_stream):

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,13 +15,18 @@ from scipy import stats
 from timebinsim import (EventStream, Origin, PhysicalParams, PulseSequence,
                         ResonantPulse, ValidationError, montecarlo, run,
                         two_pulse_sequence)
-from timebinsim.montecarlo import CODE_BY_ORIGIN, RESET_FLASH_ENERGY_UEV
+from timebinsim.core import format_float
+from timebinsim.montecarlo import (CODE_BY_ORIGIN, ORIGIN_BY_CODE,
+                                   RESET_FLASH_ENERGY_UEV)
 
 from oracle_values import C_HALF_PI, C_PI
 
 
 def _columns_equal(a: EventStream, b: EventStream) -> bool:
-    return all(np.array_equal(a.columns[k], b.columns[k]) for k in a.columns)
+    # bitwise: np.array_equal ignores the sign of -0.0 and fails on nan
+    return a.columns.keys() == b.columns.keys() and all(
+        a.columns[k].dtype == b.columns[k].dtype
+        and a.columns[k].tobytes() == b.columns[k].tobytes() for k in a.columns)
 
 
 def test_same_seed_is_bit_identical(params):
@@ -257,6 +264,76 @@ def test_csv_round_trip_is_exact(tmp_path, params):
         EventStream.from_csv(bad, params=params, sequence=seq)
 
 
+_EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, np.finfo(np.float64).max,
+                np.nan, np.inf, -np.inf]
+
+
+def _edge_stream(n: int = len(_EDGE_FLOATS)) -> EventStream:
+    """Events whose columns hold every edge-case float and integer."""
+    x = np.resize(np.array(_EDGE_FLOATS), n)
+    traj = np.arange(n, dtype=np.int64)
+    traj[-1:] = np.iinfo(np.int64).max
+    bins = np.resize(np.array([0, 1, -1, np.iinfo(np.int32).max], np.int32), n)
+    cols = {"trajectory_id": traj, "timestamp_ps": x, "energy_uev": x[::-1].copy(),
+            "origin": (np.arange(n) % len(ORIGIN_BY_CODE)).astype(np.uint8),
+            "phase_rad": np.roll(x, 3), "bin_index": bins}
+    return EventStream(params=PhysicalParams(), sequence=two_pulse_sequence(),
+                       seed=0, n_trajectories=n, columns=cols)
+
+
+def _read_csv(path) -> EventStream:
+    return EventStream.from_csv(path, params=PhysicalParams(),
+                                sequence=two_pulse_sequence(), n_trajectories=0)
+
+
+def test_csv_writes_every_float_as_format_float(tmp_path):
+    stream = _edge_stream()
+    path = tmp_path / "edge.csv"
+    stream.to_csv(path)
+    c = stream.columns
+    rows = [",".join(montecarlo._COLUMNS)] + [
+        f"{c['trajectory_id'][i]},{format_float(c['timestamp_ps'][i])},"
+        f"{format_float(c['energy_uev'][i])},{ORIGIN_BY_CODE[int(c['origin'][i])].value},"
+        f"{format_float(c['phase_rad'][i])},{c['bin_index'][i]}" for i in range(len(stream))]
+    assert path.read_text() == "\n".join(rows) + "\n"
+    assert _columns_equal(_read_csv(path), stream)
+
+
+def test_csv_bytes_do_not_depend_on_the_write_chunk(tmp_path, monkeypatch):
+    stream = _edge_stream(23)
+    stream.to_csv(tmp_path / "whole.csv")
+    monkeypatch.setattr(montecarlo, "_CSV_CHUNK", 4)
+    stream.to_csv(tmp_path / "chunked.csv")
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_csv_reads_empty_and_one_event_files(tmp_path):
+    for n in (0, 1):
+        path = tmp_path / f"{n}.csv"
+        _edge_stream(n).to_csv(path)
+        assert len(path.read_text().splitlines()) == 1 + n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = _read_csv(path)
+        assert _columns_equal(back, _edge_stream(n))
+
+
+@pytest.mark.parametrize("row, match", [
+    ("3,1.5,0.0,Background,0.25", "5 fields, not 6"),
+    ("3,1.5,0.0,Background,0.25,1,7", "7 fields, not 6"),
+    ("3,fast,0.0,Background,0.25,1", "bad timestamp_ps 'fast'"),
+    ("3.5,1.5,0.0,Background,0.25,1", "bad trajectory_id '3.5'"),
+    ("3,1.5,0.0,Background,0.25,4294967296", "bad bin_index '4294967296'"),
+    ("3,1.5,0.0,Laser,0.25,1", "unknown origin 'Laser'"),
+])
+def test_csv_rejects_a_bad_row_by_number(tmp_path, row, match):
+    path = tmp_path / "bad.csv"
+    header = ",".join(montecarlo._COLUMNS)
+    path.write_text(f"{header}\n0,1.0,2.0,CoherentRaman,0.5,0\n\n{row}\n")
+    with pytest.raises(ValueError, match=f"malformed event CSV .*: line 4: {match}"):
+        _read_csv(path)
+
+
 def test_binary_round_trip_restores_provenance(tmp_path, params):
     seq = two_pulse_sequence(phase2=1.1)
     stream = run(seq, params, 300, seed=13)
@@ -327,6 +404,21 @@ def test_run_bounds_its_expected_stray_events(params, monkeypatch):
         run(seq, over, 1000, seed=0)
     with pytest.raises(ValidationError, match="stray events"):
         run(seq, replace(params, reset_flash_rate=1.0), int(bound) + 1, seed=0)
+
+
+def test_run_peaks_near_the_size_of_its_stream():
+    # each block is sorted as it comes and the columns are joined one at a
+    # time, so the run never holds its events much more than once
+    cfg = replace(PhysicalParams(), background_rate=2.0)
+    run(two_pulse_sequence(), cfg, 1000, seed=1)
+    tracemalloc.start()
+    try:
+        stream = run(two_pulse_sequence(), cfg, 300_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(column.nbytes for column in stream.columns.values())
+    assert peak <= 2.5 * held, peak / held
 
 
 def test_run_validates_inputs(params):

@@ -185,10 +185,10 @@ def test_analytic_round_trip_is_exact(clean_params):
     for delta in np.linspace(0.0, 2 * math.pi, 8, endpoint=False):
         state = generate_state(two_pulse_sequence(phase2=delta), clean_params)
         phases = np.linspace(0.0, 2 * math.pi, 12, endpoint=False)
-        middles = np.array([michelson_expected(state, phi, clean_params)[1]
+        middles = np.array([michelson_expected(state, phi)[1]
                             for phi in phases]) * 1e6
         ref_state = generate_state(two_pulse_sequence(), clean_params)
-        ref_middles = np.array([michelson_expected(ref_state, phi, clean_params)[1]
+        ref_middles = np.array([michelson_expected(ref_state, phi)[1]
                                 for phi in phases]) * 1e6
         fit = fit_fringe(phases, middles)
         ref = fit_fringe(phases, ref_middles)
