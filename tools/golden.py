@@ -53,6 +53,9 @@ INVOCATIONS: dict[str, list[str]] = {
     "simulate": _SIMULATE,
     "simulate-binary": _SIMULATE + ["--binary"],
     "simulate-background": _SIMULATE + ["--param", "background_rate=0.3"],
+    # more windows than run()'s default chunk, so the stream joins two blocks
+    "simulate-blocks": ["simulate", "--trajectories", "140000", "--binary",
+                        "--param", "background_rate=0.3", "--seed", "6"],
 }
 
 
