@@ -44,7 +44,7 @@ RESET_FLASH_ENERGY_UEV = 1.396e5
 
 # Most stray events (reset flash plus background) a run may expect, rate
 # times windows.  Memory grows with the events: a 200,000-window run at the
-# bound peaks near 1.05 GB RSS.
+# bound peaks near 1.06 GB RSS.
 _MAX_STRAY_EVENTS = 2.0 ** 24
 
 _TWO_PI = 2.0 * np.pi
@@ -287,10 +287,7 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
                     draws: np.ndarray, traj_start: int,
                     stray: dict[Origin, Generator]) -> dict[str, np.ndarray]:
     """Vectorised kernel: one row of uniform draws per trajectory, plus one
-    counter tick per stray event from that kind's generator in ``stray``.
-
-    Drops its references to ``draws`` once read, so a caller that keeps
-    none lets the block's uniforms go before the stray events are drawn."""
+    counter tick per stray event from that kind's generator in ``stray``."""
     m = draws.shape[0]
     traj_ids = np.arange(traj_start, traj_start + m, dtype=np.int64)
 
@@ -371,11 +368,9 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
     # Each event of a kind takes the next counter tick (four uniforms) of
     # that kind's generator, in (window, j) order; chunks are drawn in window
     # order, so the events never depend on the chunking.
-    counts = [(origin, _poisson_counts(rate, draws[:, slot])) for origin, rate, slot in (
-        (Origin.RESET_FLASH, params.reset_flash_rate, _FLASH_COUNT),
-        (Origin.BACKGROUND, params.background_rate, _BG_COUNT))]
-    del draws, rows
-    for origin, count in counts:
+    for origin, rate, slot in ((Origin.RESET_FLASH, params.reset_flash_rate, _FLASH_COUNT),
+                               (Origin.BACKGROUND, params.background_rate, _BG_COUNT)):
+        count = _poisson_counts(rate, draws[:, slot])
         u = stray[origin].random((int(count.sum()), 4))
         if origin is Origin.RESET_FLASH:
             t, energy = np.zeros(len(u)), np.full(len(u), RESET_FLASH_ENERGY_UEV)
@@ -427,10 +422,15 @@ def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
         m = min(chunk_size, n_trajectories - start)
         bg = Philox(seed=SeedSequence(int(seed)))
         bg.advance(start * _WIDTH // 4)
-        block = _simulate_block(sequence, params, Generator(bg).random((m, _WIDTH)),
-                                traj_start=start, stray=stray)
+        draws = Generator(bg).random((m, _WIDTH))
+        block = _simulate_block(sequence, params, draws, traj_start=start,
+                                stray=stray)
         order = _stream_order(block["trajectory_id"], block["timestamp_ps"])
         pieces.append({k: block.pop(k)[order] for k in _COLUMNS})
+        # Freed here, not inside the kernel: freed before the block's sort,
+        # the uniforms left glibc trimming and re-faulting its heap on every
+        # call (about 0.2 s of system time per g2 calibration).
+        del draws
         start += m
 
     cols = (_concatenate(pieces) if pieces

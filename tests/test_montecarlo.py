@@ -410,7 +410,7 @@ def test_run_peaks_near_the_size_of_its_stream():
     # each block is sorted as it comes and the columns are joined one at a
     # time, so the run never holds its events much more than once
     cfg = replace(PhysicalParams(), background_rate=2.0)
-    run(two_pulse_sequence(), cfg, 1000, seed=1)
+    run(two_pulse_sequence(), cfg, 1000, seed=1)  # keeps one-off set-up out of the peak
     tracemalloc.start()
     try:
         stream = run(two_pulse_sequence(), cfg, 300_000, seed=1)
