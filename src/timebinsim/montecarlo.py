@@ -427,9 +427,9 @@ def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
                                 stray=stray)
         order = _stream_order(block["trajectory_id"], block["timestamp_ps"])
         pieces.append({k: block.pop(k)[order] for k in _COLUMNS})
-        # Freed here, not inside the kernel: freed before the block's sort,
-        # the uniforms left glibc trimming and re-faulting its heap on every
-        # call (about 0.2 s of system time per g2 calibration).
+        # Dropped only after the sort: dropped inside the kernel, the
+        # uniforms left glibc trimming and re-faulting its heap on almost every
+        # run of a g2 calibration (about 0.2 s of system time per calibration).
         del draws
         start += m
 
