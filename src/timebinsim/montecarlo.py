@@ -84,29 +84,6 @@ def _stream_order(traj: np.ndarray, t: np.ndarray) -> np.ndarray:
     return order
 
 
-def _csv_row_problem(path, code_by_name: dict[str, int]) -> str | None:
-    """Line number and fault of the first bad event row of a CSV, found by a
-    slow field-by-field read once the fast one has failed."""
-    with open(path) as fh:
-        next(fh)
-        for number, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split(",")
-            if fields == [""]:  # empty lines are skipped, as the fast read does
-                continue
-            if len(fields) != len(_COLUMNS):
-                return f"line {number}: {len(fields)} fields, not {len(_COLUMNS)}"
-            for name, text in zip(_COLUMNS, fields):
-                if name == "origin":
-                    if text not in code_by_name:
-                        return f"line {number}: unknown origin {text!r}"
-                    continue
-                try:
-                    np.array([text]).astype(_DTYPES[name])
-                except (ValueError, OverflowError):
-                    return f"line {number}: bad {name} {text!r}"
-    return None
-
-
 @dataclass
 class EventStream:
     """Column-oriented list of photon events plus full run provenance.
@@ -165,7 +142,8 @@ class EventStream:
     @classmethod
     def from_csv(cls, path, *, params, sequence, seed=0, n_trajectories=0) -> "EventStream":
         """Read what :meth:`to_csv` writes; a malformed row or an unknown
-        origin raises ``ValueError`` naming its line (the header is line 1)."""
+        origin raises ``ValueError`` with numpy's message, which names the
+        row and column."""
         code_by_name = {o.value: c for c, o in ORIGIN_BY_CODE.items()}
         converters = {_COLUMNS.index("origin"): code_by_name.__getitem__}
         with open(path) as fh:
@@ -179,8 +157,7 @@ class EventStream:
                                      delimiter=",", comments=None, ndmin=1,
                                      converters=converters)
             except ValueError as exc:
-                problem = _csv_row_problem(path, code_by_name) or exc
-                raise ValueError(f"malformed event CSV {path}: {problem}") from None
+                raise ValueError(f"malformed event CSV {path}: {exc}") from exc
         cols = {k: np.ascontiguousarray(rec[k]) for k in _COLUMNS}
         return cls(params=params, sequence=sequence, seed=seed,
                    n_trajectories=n_trajectories, columns=cols)

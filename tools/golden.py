@@ -1,9 +1,10 @@
-"""Record, or check, the SHA-256 of every artifact of a fixed set of CLI runs.
+"""Record the SHA-256 of every artifact of a fixed set of CLI runs.
 
 Usage, from the repository root:
 
-    PYTHONPATH=src python3 tools/golden.py          # rewrite the digests
-    PYTHONPATH=src python3 tools/golden.py --check  # compare, exit 1 on a change
+    PYTHONPATH=src python3 tools/golden.py   # rewrite the digests
+
+``pytest tests/test_golden.py`` checks them.
 
 Each invocation in ``INVOCATIONS`` runs ``timebinsim.cli.main`` in process,
 at a small size, into a fresh directory; the digests of all the files it
@@ -15,7 +16,6 @@ the file, so the diff names exactly the artifacts that moved.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -84,19 +84,8 @@ def load() -> dict:
         return json.load(fh)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare with the recorded digests instead of writing them")
-    args = parser.parse_args(argv)
+def main() -> int:
     record = {"versions": versions(), "digests": compute()}
-    if args.check:
-        recorded = load()
-        if recorded != record:
-            print(json.dumps({"recorded": recorded, "now": record}, indent=2))
-            return 1
-        print("all artifact digests match")
-        return 0
     with open(DIGESTS, "w") as fh:
         fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
     print(f"wrote {sum(map(len, record['digests'].values()))} digests to {DIGESTS}")
