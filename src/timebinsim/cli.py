@@ -33,8 +33,7 @@ from .core import (ConfigError, InsufficientStatisticsError, PARAM_FIELDS,
 from .dynamics import (expected_visibility, generate_state, sequence_for_pgen,
                        two_pulse_sequence, visibility_curve,
                        write_visibility_csv)
-from .measurement import (calibrate_background_for_g2, fringe_scan, gate,
-                          hbt_g2, reject_reset_light)
+from .measurement import calibrate_background_for_g2, fringe_scan, measure_g2
 from .montecarlo import derived_seed, run
 from .tomography import (bloch_of_state, direction_fidelity, fit_fringe,
                          qubit_phase, reconstruct, write_states_csv)
@@ -227,17 +226,14 @@ def cmd_g2(args, out: _OutDir) -> int:
     calibrated = None
     if args.calibrate_g2 is not None:
         calibrated = calibrate_background_for_g2(
-            seq, params, args.calibrate_g2,
-            n_trajectories=args.trajectories,
+            seq, params, args.calibrate_g2, n_trajectories=args.trajectories,
             seed=derived_seed(args.seed, 1), window=args.window)
         params = replace(params, background_rate=calibrated)
     elif args.background is not None:
         params = replace(params, background_rate=args.background)
         validate(params)
-    stream = run(seq, params, args.trajectories, args.seed)
-    prepared = gate(reject_reset_light(stream), 0.0,
-                    params.window_ps(seq.n_bins))
-    result = hbt_g2(prepared, window=args.window)
+    result = measure_g2(seq, params, args.trajectories, args.seed,
+                        window=args.window)
     out.write("g2.csv", result.to_csv)
     out.sidecar("g2", params, args.seed,
                 {"trajectories": args.trajectories, "window": args.window,
@@ -361,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the background rate per window")
     p.add_argument("--calibrate-g2", type=_OPEN_UNIT_INTERVAL, default=None,
                    metavar="TARGET",
-                   help="bisect the background rate to hit this g2(0) first")
+                   help="first set the background rate that gives this g2(0)")
     p.add_argument("--scale", type=float, default=1.0,
                    help="drive intensity scale (1.0 = pi/2 + pi)")
     p.add_argument("--window", type=_COUNT, default=5,

@@ -30,14 +30,16 @@ measurements on the same stream do not perturb one another.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
+from scipy.special import erfcx, ndtr
 
 from .core import (InsufficientStatisticsError, PhysicalParams, PulseSequence,
                    TimeBinState, ValidationError, validate, write_csv)
-from .dynamics import sequence_drives
+from .dynamics import generate_state, sequence_drives
 from .montecarlo import CODE_BY_ORIGIN, EventStream, Origin, derived_seed, run
 
 _TAG_MICHELSON = 0x4D49
@@ -46,13 +48,6 @@ _TAG_HBT = 0x4842
 _TAG_FRINGE = 0x4652
 
 _TWO_PI = 2.0 * np.pi
-
-# Halvings of the background-rate bracket in calibrate_background_for_g2,
-# and doublings past its start 4*background_rate_for_g2(1, target), which
-# over-estimates the rate already, since g2(0) falls as p rises.
-_BISECTION_STEPS = 14
-_BRACKET_DOUBLINGS = 4
-
 
 def _bits(x: float) -> int:
     """Float -> raw 64-bit pattern, for keying substreams on real values."""
@@ -356,12 +351,9 @@ def hbt_g2(stream: EventStream, *, window: int = 5, salt: int = 0) -> HbtResult:
 
 
 def background_rate_for_g2(p_photon: float, target_g2: float) -> float:
-    """Background rate per window giving ``g2(0) = target`` for a source
-    emitting one photon per window with probability ``p_photon``.
-
-    Inverts ``g2(0) = lam * (2 p + lam) / (p + lam)^2`` for the Poisson
-    background rate ``lam``.
-    """
+    """Poisson background rate ``lam`` per window giving ``g2(0) = target``
+    for a source emitting one photon per window with probability
+    ``p = p_photon``: inverts ``g2(0) = lam * (2 p + lam) / (p + lam)^2``."""
     if not 0 < target_g2 < 1:
         raise ValueError("target_g2 must lie in (0, 1)")
     if not 0 < p_photon <= 1:
@@ -369,66 +361,77 @@ def background_rate_for_g2(p_photon: float, target_g2: float) -> float:
     return p_photon * (1.0 / np.sqrt(1.0 - target_g2) - 1.0)
 
 
+def _delay_cdf(x: float, t1: float, sigma: float) -> float:
+    """CDF of Exp(t1) + N(0, sigma) at x: ``Phi(r) - exp(a^2/2 - x/t1) Phi(r - a)``
+    with r = x/sigma, a = sigma/t1.  For r <= a the second term is taken as
+    ``erfcx((a - r)/sqrt2)/2 * exp(-r^2/2)``, which cannot overflow."""
+    if sigma == 0.0:
+        return -math.expm1(-x / t1)
+    r, a = x / sigma, sigma / t1
+    if r > a:  # the exponent is then <= 0
+        tail = math.exp(0.5 * a * a - x / t1) * float(ndtr(r - a))
+    else:
+        tail = 0.5 * float(erfcx((a - r) / math.sqrt(2.0))) * math.exp(-0.5 * r * r)
+    return max(float(ndtr(r)) - tail, 0.0)
+
+
+def gated_photon_probability(sequence: PulseSequence,
+                             params: PhysicalParams) -> float:
+    """p_gate, the probability that a window holds a photon inside the gate
+    [0, W) (see :func:`calibrate_background_for_g2`)."""
+    state = generate_state(sequence, params)
+    dt, w = params.bin_separation_ps, params.window_ps(sequence.n_bins)
+    return sum(p * _delay_cdf(w - i * dt, params.t1_radiative, params.detector_jitter)
+               for i, p in enumerate((state.p_early, state.p_late)))
+
+
+def measure_g2(sequence: PulseSequence, params: PhysicalParams,
+               n_trajectories: int, seed: int, *, window: int = 5) -> HbtResult:
+    """:func:`hbt_g2` of a fresh run prepared as in the experiment: reset
+    light rejected and events gated to their own window."""
+    stream = reject_reset_light(run(sequence, params, n_trajectories, seed))
+    return hbt_g2(gate(stream, 0.0, params.window_ps(sequence.n_bins)), window=window)
+
+
 def calibrate_background_for_g2(sequence: PulseSequence, params: PhysicalParams,
                                 target_g2: float, *,
                                 n_trajectories: int = 200_000, seed: int = 0,
                                 window: int = 5) -> float:
-    """Bisect the background rate until the simulated ``g2(0)`` hits the target.
-
-    Each bisection step re-simulates ``n_trajectories`` windows with the
-    candidate rate under the same master seed (common random numbers), so
-    the search is deterministic, but not over a monotone function:
-    :func:`hbt_g2` splits detectors by stream position, so one added
-    background event reshuffles every later split.  Streams are prepared as
-    in the experiment (reset light rejected, events gated to their own
-    window) before correlating.  The analytic rate from
-    :func:`background_rate_for_g2` seeds the upper bracket.  A target below
-    one expected zero-lag coincidence at the bracket's start, beyond its
-    reach, or needing more stray events than one :func:`run` may hold,
-    raises :class:`InsufficientStatisticsError`.
-    """
-    if not 0 < target_g2 < 1:
-        raise ValueError("target_g2 must lie in (0, 1)")
-    validate(sequence)
-    validate(params)
-
-    def measured(rate: float) -> HbtResult:
-        p = replace(params, background_rate=rate)
-        try:
-            stream = run(sequence, p, n_trajectories, seed)
-        except ValidationError as exc:  # only the run's stray-event bound is left
-            raise InsufficientStatisticsError(
-                f"target g2 {target_g2!r} needs background rates near "
-                f"{rate:.4g} per window: {exc}") from None
-        prepared = gate(reject_reset_light(stream), 0.0,
-                        p.window_ps(sequence.n_bins))
-        return hbt_g2(prepared, window=window)
-
-    lo, hi = 0.0, 4.0 * background_rate_for_g2(1.0, target_g2)
-    if hi == 0.0:  # the bracket below could never grow from zero
+    """Background rate per window at which :func:`measure_g2` expects
+    ``g2(0) = target``: :func:`background_rate_for_g2` at ``p_gate =
+    p_early F(W) + p_late F(W - dt)``, the probability that a window's photon
+    lands inside the gate [0, W), with the bins of :func:`generate_state` and
+    F the CDF of the delay Exp(T1) + N(0, detector_jitter) after a pulse (an
+    arrival clamped to 0 stays inside; the reset flash is rejected in full,
+    and all background falls inside the gate).  One check run of
+    ``n_trajectories`` windows at ``seed`` over ``window`` lags confirms it.
+    A target that no photon reaches, below one expected zero-lag coincidence
+    (``n lam (2 p + lam) / 4``), needing more stray events than a run holds,
+    or whose check run is over 5 sigma off raises InsufficientStatisticsError."""
+    if background_rate_for_g2(1.0, target_g2) == 0.0:  # 1 - target rounds to 1
         raise ValidationError([f"target_g2: {target_g2!r} is too small to "
                                "resolve a background rate"])
-    # At the target, g2(0) * norm is the expected number of zero-lag
-    # coincidences; below one, the run cannot tell the target from zero.
-    # norm grows with the rate, so the over-estimated start bounds it.
-    at_hi = measured(hi)
-    if target_g2 * at_hi.norm < 1.0:
+    p_gate = gated_photon_probability(sequence, params)
+    if p_gate == 0.0:
         raise InsufficientStatisticsError(
-            f"target g2 {target_g2!r} expects {target_g2 * at_hi.norm:.3g} "
-            f"zero-lag coincidences in {n_trajectories} windows, fewer than 1")
-    for _ in range(_BRACKET_DOUBLINGS):
-        if at_hi.zero_lag >= target_g2:
-            break
-        hi *= 2.0
-        at_hi = measured(hi)
-    if at_hi.zero_lag < target_g2:
+            f"target g2 {target_g2!r}: no photon reaches the gate "
+            f"[0, {params.window_ps(sequence.n_bins):g}) ps")
+    rate = background_rate_for_g2(p_gate, target_g2)
+    expected = n_trajectories * rate * (2.0 * p_gate + rate) / 4.0
+    if expected < 1.0:
         raise InsufficientStatisticsError(
-            f"could not bracket the target g2 within {2 ** _BRACKET_DOUBLINGS} "
-            "times the analytic over-estimate of its background rate")
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if measured(mid).zero_lag < target_g2:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            f"target g2 {target_g2!r} expects {expected:.3g} zero-lag "
+            f"coincidences in {n_trajectories} windows, fewer than 1")
+    try:
+        check = measure_g2(sequence, replace(params, background_rate=rate),
+                           n_trajectories, seed, window=window)
+    except ValidationError as exc:  # only the run's stray-event bound is left
+        raise InsufficientStatisticsError(
+            f"target g2 {target_g2!r} needs a background rate of {rate:.4g} "
+            f"per window: {exc}") from None
+    pull = (check.zero_lag - target_g2) / check.se[len(check.g2) // 2]
+    if abs(pull) > 5.0:
+        raise InsufficientStatisticsError(
+            f"target g2 {target_g2!r}: a check run at rate {rate:.4g} measured "
+            f"g2(0) = {check.zero_lag:.4g}, {pull:+.1f} sigma off")
+    return rate

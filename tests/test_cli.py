@@ -382,12 +382,24 @@ def test_g2_calibration_below_one_coincidence_fails_cleanly(tmp_path, capsys,
     real_run = measurement.run
     monkeypatch.setattr(measurement, "run",
                         lambda *a, **k: calls.append(1) or real_run(*a, **k))
-    # the default 200,000 windows: one run shows the target is out of reach
+    # the default 200,000 windows: the target is out of reach before any run
     assert main(["g2", "--calibrate-g2", "1e-15",
                  "--out", str(tmp_path / "o")]) == 3
-    assert len(calls) <= 1
+    assert calls == []
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("param", ["p_hole_init=0", "t1_radiative=1e100"])
+def test_g2_calibration_without_gated_photons_fails_cleanly(tmp_path, capsys,
+                                                            param):
+    # with no photon inside the gate no background rate reaches the target
+    assert main(["g2", "--calibrate-g2", "0.01", "--param", param,
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "no photon reaches the gate" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -400,7 +412,7 @@ def test_stray_rates_above_one_per_window_run(tmp_path, capsys):
 
 
 def test_g2_calibrates_a_target_above_the_old_rate_cap(tmp_path, capsys):
-    # the bracket starts above one background photon per window
+    # the closed-form rate, 0.207 per window, checked at a fresh seed
     assert main(["g2", "--calibrate-g2", "0.5", "--trajectories", "20000",
                  "--out", str(tmp_path / "o")]) == 0
     line = capsys.readouterr().out.splitlines()[-1]
@@ -409,7 +421,7 @@ def test_g2_calibrates_a_target_above_the_old_rate_cap(tmp_path, capsys):
 
 
 def test_g2_calibration_beyond_one_runs_memory_fails_cleanly(tmp_path):
-    # the bracket starts near 1,261 background photons per window, 2.5e8
+    # the closed-form rate is near 157 background photons per window, 3.1e7
     # stray events at the default 200,000 windows; the address-space cap
     # turns a run that tried to hold them into a MemoryError instead of
     # exhausting the host's memory.  One-thread BLAS pools keep the import
@@ -459,8 +471,8 @@ def test_wdm_with_a_subnormal_fwhm_does_not_overflow(tmp_path, capsys):
 def test_sigterm_discards_the_staged_output(tmp_path):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "timebinsim.cli", "g2", "--calibrate-g2", "0.01",
-         "--trajectories", "200000", "--out", str(tmp_path / "o")],
+        [sys.executable, "-m", "timebinsim.cli", "phase-qubits",
+         "--out", str(tmp_path / "o")],
         env={**os.environ, "PYTHONPATH": src},
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     try:

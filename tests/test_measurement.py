@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import exponnorm
 
 from timebinsim import (HbtResult, InsufficientStatisticsError, Origin,
-                        PulseSequence, ResonantPulse, TimeBinState,
-                        ValidationError, background_rate_for_g2,
+                        PhysicalParams, PulseSequence, ResonantPulse,
+                        TimeBinState, ValidationError, background_rate_for_g2,
                         calibrate_background_for_g2, filter_transmission,
                         fringe_scan, gate, generate_state, hbt_g2, michelson,
                         michelson_expected, reject_reset_light, run,
@@ -15,7 +16,8 @@ from timebinsim import (HbtResult, InsufficientStatisticsError, Origin,
 from timebinsim import measurement
 from timebinsim.measurement import (_SLOT_LOST, _TAG_FRINGE, SLOT_MIDDLE,
                                     SLOT_SIDE_EARLY, SLOT_SIDE_LATE, _route,
-                                    _routing_inputs, lorentzian_line)
+                                    _routing_inputs, gated_photon_probability,
+                                    lorentzian_line, measure_g2)
 from timebinsim.montecarlo import derived_seed
 
 from oracle_values import (INCOHERENT_LEAK, L2_AT_FULL_SPLIT, L2_AT_HALF_WIDTH,
@@ -360,32 +362,90 @@ def test_analytic_background_rate_inverts_the_g2_formula():
         background_rate_for_g2(0.0, 0.01)
 
 
-def test_bisection_calibration_hits_the_target(clean_params):
-    target = 0.05
-    rate = calibrate_background_for_g2(two_pulse_sequence(), clean_params,
-                                       target, n_trajectories=40_000, seed=29)
-    stream = run(two_pulse_sequence(),
-                 replace(clean_params, background_rate=rate), 40_000, seed=29)
-    measured = hbt_g2(stream).zero_lag
+def test_closed_form_calibration_hits_the_target(clean_params):
+    target, seq = 0.05, two_pulse_sequence()
+    rate = calibrate_background_for_g2(seq, clean_params, target,
+                                       n_trajectories=40_000, seed=29)
+    assert rate == background_rate_for_g2(
+        gated_photon_probability(seq, clean_params), target)
+    measured = measure_g2(seq, replace(clean_params, background_rate=rate),
+                          40_000, seed=30).zero_lag
     assert measured == pytest.approx(target, abs=0.01)
-    # same ballpark as the closed-form rate for an ideal source
-    analytic = background_rate_for_g2(1.0, target)
-    assert 0.3 * analytic < rate < 3.0 * analytic
 
 
-def test_calibration_bracket_grows_at_most_sixteenfold(clean_params, monkeypatch):
-    # a g2 that never reaches the target: the bracket doubles from its
-    # analytic start four times, then gives up without a fifth run
-    rates = []
+@pytest.mark.parametrize("zero_lag,ok", [(0.099, True), (0.101, False),
+                                         (-0.001, False)])
+def test_calibration_check_run_beyond_5_sigma_raises(clean_params, monkeypatch,
+                                                     zero_lag, ok):
+    # a check run at target 0.05 with a zero-lag sigma of 0.01
+    def measured(stream, **_):
+        return HbtResult(lags=np.arange(-1, 2), g2=np.array([1.0, zero_lag, 1.0]),
+                         coincidences=np.full(3, 1e4), norm=1e4,
+                         se=np.full(3, 0.01))
 
-    def never_reached(stream, **_):
-        rates.append(stream.params.background_rate)
-        return HbtResult(lags=np.arange(-1, 2), g2=np.zeros(3),
-                         coincidences=np.full(3, 1e6), norm=1e6, se=np.ones(3))
+    monkeypatch.setattr(measurement, "hbt_g2", measured)
+    calibrate = lambda: calibrate_background_for_g2(  # noqa: E731
+        two_pulse_sequence(), clean_params, 0.05, n_trajectories=2000, seed=1)
+    if ok:
+        assert calibrate() > 0
+    else:
+        with pytest.raises(InsufficientStatisticsError, match="sigma off"):
+            calibrate()
 
-    monkeypatch.setattr(measurement, "hbt_g2", never_reached)
-    with pytest.raises(InsufficientStatisticsError, match="bracket"):
-        calibrate_background_for_g2(two_pulse_sequence(), clean_params, 0.5,
-                                    n_trajectories=10, seed=1)
-    start = 4.0 * background_rate_for_g2(1.0, 0.5)
-    assert rates == [start * 2.0 ** k for k in range(5)]
+
+def test_calibration_makes_exactly_one_run(params, monkeypatch):
+    runs, windows = [], []
+    real_run, real_hbt = measurement.run, measurement.hbt_g2
+    monkeypatch.setattr(measurement, "run",
+                        lambda *a, **k: runs.append(a) or real_run(*a, **k))
+    monkeypatch.setattr(measurement, "hbt_g2",
+                        lambda s, **k: windows.append(k) or real_hbt(s, **k))
+    rate = calibrate_background_for_g2(two_pulse_sequence(), params, 0.05,
+                                       n_trajectories=20_000, seed=3, window=4)
+    assert len(runs) == 1
+    _, run_params, n, seed = runs[0]
+    assert (run_params.background_rate, n, seed) == (rate, 20_000, 3)
+    assert windows == [{"window": 4}]
+
+
+# (params overrides, sequence): each gated photon fraction within a
+# binomial 4 sigma of the closed form, with no stray light
+@pytest.mark.parametrize("overrides,seq", [
+    ({}, two_pulse_sequence()),
+    ({"detector_jitter": 0.0}, two_pulse_sequence()),
+    ({"p_hole_init": 0.2, "t1_radiative": 900.0, "detector_jitter": 300.0},
+     two_pulse_sequence()),
+    ({"t1_radiative": 2000.0, "detector_jitter": 0.0}, sequence_for_pgen(0.3)),
+    ({"t1_radiative": 20.0, "detector_jitter": 1000.0}, two_pulse_sequence()),
+    ({"bin_separation": 1.2, "pulse_duration": 500.0, "t1_radiative": 600.0},
+     two_pulse_sequence(scale=0.6)),
+])
+def test_gated_photon_probability_matches_the_simulation(params, overrides, seq):
+    cfg = replace(params, background_rate=0.0, reset_flash_rate=0.0, **overrides)
+    n = 40_000
+    stream = run(seq, cfg, n, seed=31)
+    gated = len(gate(stream, 0.0, cfg.window_ps(seq.n_bins))) / n
+    p = gated_photon_probability(seq, cfg)
+    assert abs(gated - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+@pytest.mark.parametrize("t1,jitter", [(250.0, 30.0), (900.0, 300.0),
+                                       (20.0, 1000.0), (2000.0, 5.0)])
+def test_delay_cdf_matches_scipy_exponnorm(t1, jitter):
+    # both branches of the stable form against scipy's own EMG CDF
+    for x in (100.0, 1500.0, 3000.0):
+        assert measurement._delay_cdf(x, t1, jitter) == pytest.approx(
+            exponnorm.cdf(x, t1 / jitter, scale=jitter), rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t1", [1e-100, 1e100])
+@pytest.mark.parametrize("jitter", [0.0, 1e-100, 30.0, 1e100])
+@pytest.mark.parametrize("bin_separation", [1e-95, 1.5, 1e100])
+def test_gated_photon_probability_is_finite_at_the_parameter_bounds(
+        t1, jitter, bin_separation):
+    params = PhysicalParams(t1_radiative=t1, detector_jitter=jitter,
+                            bin_separation=bin_separation,
+                            pulse_duration=min(1000.0, bin_separation))
+    p = gated_photon_probability(two_pulse_sequence(), params)
+    assert 0.0 <= p <= params.p_hole_init
