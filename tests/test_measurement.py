@@ -383,9 +383,11 @@ def test_calibration_check_run_beyond_5_sigma_raises(clean_params, monkeypatch,
                          coincidences=np.full(3, 1e4), norm=1e4,
                          se=np.full(3, 0.01))
 
+    def calibrate():
+        return calibrate_background_for_g2(two_pulse_sequence(), clean_params,
+                                           0.05, n_trajectories=2000, seed=1)
+
     monkeypatch.setattr(measurement, "hbt_g2", measured)
-    calibrate = lambda: calibrate_background_for_g2(  # noqa: E731
-        two_pulse_sequence(), clean_params, 0.05, n_trajectories=2000, seed=1)
     if ok:
         assert calibrate() > 0
     else:
