@@ -154,8 +154,10 @@ def cmd_visibility_sweep(args, out: _OutDir) -> int:
 
 def cmd_phase_qubits(args, out: _OutDir) -> int:
     params = _resolve_params(args)
-    programmed = (_parse_floats(args.phases) if args.phases
+    programmed = (_parse_floats(args.phases) if args.phases is not None
                   else list(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)))
+    if not programmed:
+        raise ConfigError(f"--phases {args.phases!r}: no phases given")
 
     ref_scan, reference = _measure_visibility(
         args.p_gen, 0.0, params, args.trajectories, args.scan_points,

@@ -19,9 +19,9 @@ the smaller of the two coherent fractions), so the overlap fringe carries a
 visibility of ``C_min`` times the spin-dephasing envelope.  Incoherent,
 background and flash photons never interfere.
 
-One routing kernel gives every event its slot or loses it.  :func:`michelson`
-builds the stream of detections from the slots; :func:`fringe_scan` only
-counts them, so a scan setpoint copies and sorts no events.
+One routing rule gives every event its slot or loses it: :func:`michelson`
+builds detections from it, :func:`fringe_scan` counts from a reused buffer of
+draws, and a float32 cosine screens its exact float64 detection test.
 
 All randomness is drawn from substreams derived from the event stream's
 master seed, so every measurement is reproducible and independent
@@ -48,6 +48,8 @@ _TAG_HBT = 0x4842
 _TAG_FRINGE = 0x4652
 
 _TWO_PI = 2.0 * np.pi
+_SCREEN_MARGIN = 1e-4  # see _detected
+_SCAN_BLOCK = 1 << 15  # events routed at a time by a fringe scan, 1 MiB of draws
 
 def _bits(x: float) -> int:
     """Float -> raw 64-bit pattern, for keying substreams on real values."""
@@ -118,26 +120,35 @@ def _routing_inputs(stream: EventStream) -> tuple[np.ndarray, ...]:
     return own_side, lock_p, dphi
 
 
-def _route(own_side: np.ndarray, lock_p: np.ndarray, dphi: np.ndarray,
-           seed: int, interferometer_phase: float, salt: int) -> np.ndarray:
-    """Slot of every event (``SLOT_*`` or ``_SLOT_LOST``) as int8.
+def _routing_rng(seed: int, phase: float, salt: int) -> Generator:
+    """The routing uniforms' substream: one row of four per event, in order."""
+    return _substream(seed, _TAG_MICHELSON, _bits(phase), salt)
 
-    Each event takes a row of four uniforms from the substream keyed on
-    (seed, phase, salt): [0] routes it ([0, 1/4) own side peak, [1/4, 3/4)
-    overlap slot, the rest lost), [1] decides the lock, [2] the detection
-    in the overlap slot and [3] the wash phase of an unlocked event.
-    """
-    rng = _substream(seed, _TAG_MICHELSON, _bits(interferometer_phase), salt)
-    u = rng.random((len(own_side), 4))
-    side = u[:, 0] < 0.25
-    slot = np.where(side, own_side, np.int8(_SLOT_LOST))
-    overlap = np.flatnonzero(~side & (u[:, 0] < 0.75))
-    uo = u[overlap]
-    phase_term = np.where(uo[:, 1] < lock_p[overlap], dphi[overlap],
-                          _TWO_PI * uo[:, 3])
-    p_detect = 0.5 * (1.0 + np.cos(phase_term + interferometer_phase))
-    slot[overlap[uo[:, 2] < p_detect]] = SLOT_MIDDLE
-    return slot
+
+def _detected(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``u < 0.5 * (1 + cos(theta))``, by a float32 cosine where ``u`` is over
+    ``_SCREEN_MARGIN`` from it and ``|theta| < 64`` (float32 moves it by under
+    1e-6 there), else, NaN and huge theta included, by the float64 rule."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = u - 0.5 * (1.0 + np.cos(theta.astype(np.float32)))
+    hit = gap < 0.0
+    unsure = np.flatnonzero(~((np.abs(gap) > _SCREEN_MARGIN) & (np.abs(theta) < 64.0)))
+    hit[unsure] = u[unsure] < 0.5 * (1.0 + np.cos(theta[unsure]))
+    return hit
+
+
+def _route(lock_p: np.ndarray, dphi: np.ndarray, u: np.ndarray,
+           interferometer_phase: float) -> tuple[np.ndarray, np.ndarray]:
+    """The events sent to their own side peak (mask) and the indices of those
+    detected in the overlap slot; the rest are lost.  An event's row of ``u``:
+    [0] routes it ([0, 1/4) own side peak, [1/4, 3/4) overlap slot), [1]
+    decides the lock, [2] the detection and [3] an unlocked wash phase."""
+    route = u[:, 0].copy()  # contiguous: the compares then run at full speed
+    side = route < 0.25
+    overlap = np.flatnonzero(~side & (route < 0.75))
+    uo = u.take(overlap, axis=0)  # whole rows: one gather instead of three
+    phase_term = np.where(uo[:, 1] < lock_p[overlap], dphi[overlap], _TWO_PI * uo[:, 3])
+    return side, overlap[_detected(uo[:, 2], phase_term + interferometer_phase)]
 
 
 def michelson(stream: EventStream, interferometer_phase: float = 0.0, *,
@@ -148,7 +159,10 @@ def michelson(stream: EventStream, interferometer_phase: float = 0.0, *,
     delayed by the arm it took; ``slots`` names each detection's slot.
     """
     own_side, lock_p, dphi = _routing_inputs(stream)
-    slot = _route(own_side, lock_p, dphi, stream.seed, interferometer_phase, salt)
+    u = _routing_rng(stream.seed, interferometer_phase, salt).random((len(stream), 4))
+    side, middle = _route(lock_p, dphi, u, interferometer_phase)
+    slot = np.where(side, own_side, np.int8(_SLOT_LOST))
+    slot[middle] = SLOT_MIDDLE
     keep = slot != _SLOT_LOST
     # The long arm delays a side-peak photon from the late bin and an
     # overlap photon from the early bin.
@@ -238,19 +252,25 @@ def fringe_scan(source: EventStream | PulseSequence, phases, *,
     if not recorded and (params is None or n_trajectories is None or seed is None):
         raise ValueError("sequence source requires params, n_trajectories and seed")
 
-    counts = np.empty((phases.size, _SLOT_LOST + 1), np.int64)
+    counts = np.zeros((phases.size, 4), np.int64)  # early side, middle, late side, input
     for k, phi in enumerate(phases):
         if k == 0 or not recorded:  # a recorded stream is prepared once
             stream = source if recorded else run(source, params, n_trajectories,
                                                  derived_seed(seed, _TAG_FRINGE, k))
-            keep = ~stream.origin_mask(Origin.RESET_FLASH)
-            routing = [a[keep] for a in _routing_inputs(stream)]
-        slots = _route(*routing, stream.seed, float(phi), salt)
-        counts[k] = np.bincount(slots, minlength=_SLOT_LOST + 1)
-    return FringeScan(phases=phases, middle_counts=counts[:, SLOT_MIDDLE],
-                      early_side_counts=counts[:, SLOT_SIDE_EARLY],
-                      late_side_counts=counts[:, SLOT_SIDE_LATE],
-                      n_input=counts.sum(axis=1))
+            own_side, lock_p, dphi = _routing_inputs(stream)
+            if (flash := stream.origin_mask(Origin.RESET_FLASH)).any():
+                own_side, lock_p, dphi = (a[~flash] for a in (own_side, lock_p, dphi))
+            own_late = own_side == SLOT_SIDE_LATE
+            u = np.empty((min(len(own_late), _SCAN_BLOCK), 4))  # one block's draws
+        rng = _routing_rng(stream.seed, float(phi), salt)
+        for lo in range(0, len(own_late), _SCAN_BLOCK):
+            block = slice(lo, lo + _SCAN_BLOCK)
+            side, detected = _route(lock_p[block], dphi[block],
+                                    rng.random(out=u[:len(own_late) - lo]), float(phi))
+            n_late = np.count_nonzero(side & own_late[block])
+            counts[k] += (np.count_nonzero(side) - n_late, detected.size, n_late, len(side))
+    early, middle, late, n_input = counts.T
+    return FringeScan(phases, middle, early, late, n_input)
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +293,24 @@ def filter_transmission(energy_uev, center_uev: float, fwhm_uev: float,
     return np.maximum(line * line, extinction)
 
 
-def spectral_filter(stream: EventStream, center_uev: float, fwhm_uev: float, *,
-                    extinction: float = 1e-3, salt: int = 0) -> EventStream:
-    """Bernoulli-transmit each event through the passband filter."""
+def _filter_keep(seed: int, energy_uev: np.ndarray, center_uev: float,
+                 fwhm_uev: float, extinction: float, salt: int) -> np.ndarray:
+    """Which events of a stream with master ``seed`` and these energies the
+    filter transmits: one Bernoulli draw per event, in stream order."""
     if fwhm_uev <= 0:
         raise ValueError("fwhm_uev must be > 0")
     if not 0 <= extinction <= 1:
         raise ValueError("extinction must lie in [0, 1]")
-    trans = filter_transmission(stream.columns["energy_uev"], center_uev,
-                                fwhm_uev, extinction)
-    rng = _substream(stream.seed, _TAG_FILTER, _bits(center_uev),
-                     _bits(fwhm_uev), salt)
-    keep = rng.random(len(stream)) < trans
-    return stream.subset(keep)
+    trans = filter_transmission(energy_uev, center_uev, fwhm_uev, extinction)
+    rng = _substream(seed, _TAG_FILTER, _bits(center_uev), _bits(fwhm_uev), salt)
+    return rng.random(len(energy_uev)) < trans
+
+
+def spectral_filter(stream: EventStream, center_uev: float, fwhm_uev: float, *,
+                    extinction: float = 1e-3, salt: int = 0) -> EventStream:
+    """Bernoulli-transmit each event through the passband filter."""
+    return stream.subset(_filter_keep(stream.seed, stream.columns["energy_uev"],
+                                      center_uev, fwhm_uev, extinction, salt))
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +347,15 @@ def hbt_g2(stream: EventStream, *, window: int = 5, salt: int = 0) -> HbtResult:
     period_ps = stream.params.window_ps(stream.sequence.n_bins)
     n_periods = stream.n_trajectories + 1  # decay tails may spill one period
     t = stream.columns["timestamp_ps"]
-    traj = stream.columns["trajectory_id"]
-    period = traj + np.floor_divide(t, period_ps).astype(np.int64)
+    period = stream.columns["trajectory_id"].astype(np.int64)  # a copy
+    spill = np.flatnonzero(~((t >= 0.0) & (t < period_ps)))  # the rest floor to 0
+    period[spill] += np.floor_divide(t[spill], period_ps).astype(np.int64)
     period = np.clip(period, 0, n_periods - 1)
 
     rng = _substream(stream.seed, _TAG_HBT, salt)
     to_a = rng.random(len(stream)) < 0.5
-    n_a = np.bincount(period[to_a], minlength=n_periods).astype(np.float64)
-    n_b = np.bincount(period[~to_a], minlength=n_periods).astype(np.float64)
+    n_a = np.bincount(period, weights=to_a, minlength=n_periods)  # exact below 2**53
+    n_b = np.bincount(period, minlength=n_periods) - n_a
 
     lags = np.arange(-window, window + 1)
     coinc = np.zeros(lags.size)

@@ -101,7 +101,8 @@ class EventStream:
         return len(self.columns["trajectory_id"]) if self.columns else 0
 
     def subset(self, mask: np.ndarray) -> "EventStream":
-        cols = {k: v[mask] for k, v in self.columns.items()}
+        rows = np.flatnonzero(mask)  # one gather per column beats a mask per column
+        cols = {k: v.take(rows) for k, v in self.columns.items()}
         return EventStream(params=self.params, sequence=self.sequence,
                            seed=self.seed, n_trajectories=self.n_trajectories,
                            columns=cols)
@@ -115,8 +116,8 @@ class EventStream:
         return order
 
     def origin_mask(self, *origins: Origin) -> np.ndarray:
-        codes = [CODE_BY_ORIGIN[o] for o in origins]
-        return np.isin(self.columns["origin"], codes)
+        origin, codes = self.columns["origin"], [CODE_BY_ORIGIN[o] for o in origins]
+        return origin == codes[0] if len(codes) == 1 else np.isin(origin, codes)
 
     @property
     def photon_mask(self) -> np.ndarray:

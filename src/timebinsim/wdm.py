@@ -18,8 +18,8 @@ import numpy as np
 from .core import (InsufficientStatisticsError, LaserId, PhysicalParams,
                    PulseSequence, validate, write_csv)
 from .dynamics import two_pulse_sequence
-from .measurement import reject_reset_light, spectral_filter
-from .montecarlo import EventStream, run
+from .measurement import _filter_keep
+from .montecarlo import EventStream, Origin, run
 
 
 @dataclass(frozen=True)
@@ -129,22 +129,23 @@ def recovery_report(spec: WdmSpec | None = None,
     params = params or PhysicalParams()
     if stream is None:
         stream = run(build_wdm_sequence(spec), params, n_trajectories, seed)
-    stream = reject_reset_light(stream)
+    kept = ~stream.origin_mask(Origin.RESET_FLASH)  # as reject_reset_light
+    bins, energy = (stream.columns[k][kept] for k in ("bin_index", "energy_uev"))
+    early, late = bins == 0, bins >= 1
 
     channels = (("none", None), ("red", spec.red_detuning),
                 ("blue", spec.blue_detuning))
     rows = []
     for label, center in channels:
         if center is None:
-            sub = stream
+            keep = np.ones(len(bins), bool)
         else:
-            sub = spectral_filter(stream, center, fwhm_uev, extinction=extinction)
-        if len(sub) == 0:
+            keep = _filter_keep(stream.seed, energy, center, fwhm_uev, extinction, 0)
+        if not keep.any():
             raise InsufficientStatisticsError(
                 f"filter {label!r} transmitted no events")
-        bins = sub.columns["bin_index"]
-        rows.append(RecoveryRow(label=label, early=int(np.sum(bins == 0)),
-                                late=int(np.sum(bins >= 1)), total=len(stream)))
+        rows.append(RecoveryRow(label=label, early=int(np.count_nonzero(keep & early)),
+                                late=int(np.count_nonzero(keep & late)), total=len(bins)))
     return RecoveryReport(spec=spec, rows=rows,
                           n_trajectories=stream.n_trajectories,
                           seed=stream.seed)

@@ -364,6 +364,16 @@ def test_phase_qubits_without_photons_fails_cleanly(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # neither --out nor its staging area
 
 
+@pytest.mark.parametrize("phases", [",", " ", ""])
+def test_phase_qubits_without_phases_is_a_usage_error(tmp_path, capsys, phases):
+    assert main(["phase-qubits", "--phases", phases, "--trajectories", "50",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "no phases" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_phase_qubits_without_side_peak_photons_fails_cleanly(tmp_path, capsys):
     # Seed 4 gives both scans a fringe phase, but setpoint 1 routes none of
     # its 8 photons to a side peak.

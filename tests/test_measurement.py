@@ -15,9 +15,10 @@ from timebinsim import (HbtResult, InsufficientStatisticsError, Origin,
                         two_pulse_sequence)
 from timebinsim import measurement
 from timebinsim.measurement import (_SLOT_LOST, _TAG_FRINGE, SLOT_MIDDLE,
-                                    SLOT_SIDE_EARLY, SLOT_SIDE_LATE, _route,
-                                    _routing_inputs, gated_photon_probability,
-                                    lorentzian_line, measure_g2)
+                                    SLOT_SIDE_EARLY, SLOT_SIDE_LATE, _detected,
+                                    _route, _routing_rng, _routing_inputs,
+                                    gated_photon_probability, lorentzian_line,
+                                    measure_g2)
 from timebinsim.montecarlo import derived_seed
 
 from oracle_values import (INCOHERENT_LEAK, L2_AT_FULL_SPLIT, L2_AT_HALF_WIDTH,
@@ -122,7 +123,11 @@ def test_run_rejects_a_three_bin_sequence(clean_params):
 
 def test_routing_kernel_slots_are_the_michelson_slots(stray_stream):
     stream = stray_stream
-    slot = _route(*_routing_inputs(stream), stream.seed, 0.8, 5)
+    own_side, lock_p, dphi = _routing_inputs(stream)
+    u = _routing_rng(stream.seed, 0.8, 5).random((len(stream), 4))
+    side, middle = _route(lock_p, dphi, u, 0.8)
+    slot = np.where(side, own_side, _SLOT_LOST)
+    slot[middle] = SLOT_MIDDLE
     res = michelson(stream, 0.8, salt=5)
     detected = slot != _SLOT_LOST
     assert res.n_input == len(stream) and res.n_detected == int(detected.sum())
@@ -143,6 +148,50 @@ def test_michelson_detection_is_reproducible(photon_stream):
     assert np.array_equal(a.slots, b.slots)
     c = michelson(photon_stream, 0.2, salt=1)
     assert not np.array_equal(a.slots, c.slots)
+
+
+# -- the float32 screen of the overlap detection ------------------------------
+
+def _float64_rule(u, theta):
+    return u < 0.5 * (1.0 + np.cos(theta))
+
+
+_ULP64 = float(np.nextafter(64.0, 0.0))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 2, math.pi - 1e-3, math.pi,
+                                   -2.5, 63.0, 64.0, -64.0, _ULP64, -_ULP64,
+                                   # float32 is off by more than the margin here
+                                   1e5 + 0.3, -30000.9, 1e300, -1e300])
+def test_screen_decides_like_the_float64_rule_next_to_p_detect(theta):
+    p = float(0.5 * (1.0 + np.cos(np.full(1, theta)))[0])
+    near = [p, *(np.nextafter(p, d) for d in (0.0, 1.0)),
+            *(np.nextafter(np.nextafter(p, d), d) for d in (0.0, 1.0))]
+    # just outside the screen's margin, where float32 decides when |theta| < 64
+    beyond = [p + s * (measurement._SCREEN_MARGIN + e)
+              for s in (-1.0, 1.0) for e in (1e-9, 1e-6, 1e-4)]
+    u = np.array(near + beyond)
+    thetas = np.full(u.size, theta)
+    assert np.array_equal(_detected(u, thetas), _float64_rule(u, thetas))
+
+
+def test_screen_treats_nan_as_the_float64_rule_does():
+    u = np.linspace(0.0, 1.0, 11)
+    assert not _detected(u, np.full(u.size, np.nan)).any()
+
+
+def test_screen_matches_the_float64_rule_on_random_draws():
+    rng = np.random.default_rng(7)
+    u = rng.random(400_000)
+    theta = rng.uniform(-70.0, 70.0, u.size)
+    assert np.array_equal(_detected(u, theta), _float64_rule(u, theta))
+
+
+def test_float32_detection_probability_is_within_a_tenth_of_the_margin():
+    theta = np.linspace(-64.0, 64.0, 2_000_001)[1:-1]
+    approx = 0.5 * (1.0 + np.cos(theta.astype(np.float32)))
+    exact = 0.5 * (1.0 + np.cos(theta))
+    assert np.max(np.abs(approx - exact)) <= 0.1 * measurement._SCREEN_MARGIN
 
 
 # -- fringe scans -------------------------------------------------------------
@@ -188,6 +237,16 @@ def test_fringe_scan_counts_what_michelson_detects(stray_stream):
     phases = np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)
     scan = fringe_scan(stray_stream, phases, salt=11)
     assert _scan_counts(scan) == _michelson_counts(stray_stream, phases, 11)
+
+
+@pytest.mark.parametrize("block", [1000, 4])
+def test_fringe_scan_counts_the_same_in_any_block(stray_stream, monkeypatch, block):
+    # a scan routes a block of events at a time from one substream
+    assert len(stray_stream) > 3 * block
+    monkeypatch.setattr(measurement, "_SCAN_BLOCK", block)
+    phases = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
+    scan = fringe_scan(stray_stream, phases, salt=12)
+    assert _scan_counts(scan) == _michelson_counts(stray_stream, phases, 12)
 
 
 def test_live_fringe_scan_counts_what_michelson_detects(params):

@@ -19,7 +19,10 @@ the record holds both sides' median and quartiles (``numpy.percentile``
 neither side), the parent's inter-quartile range, whether the change's
 median stays within the metric's bound, and whether the gain rule holds:
 the change wins at least nine tenths of the pairs and the medians differ by
-more than the parent's inter-quartile range.  One ``--trace 1`` run per
+more than the parent's inter-quartile range.  ``failures`` keeps every
+failed op per side, as ``{"seed", "op", "message"}`` from ``run.py``'s
+``op K FAILED: message`` lines, so a new failure can be told from a known
+one.  One ``--trace 1`` run per
 side and workload, at the first seed, adds the per-layer metrics.  The
 record, named after the ``--out`` file, also holds ``nproc`` and the
 Python, numpy and scipy versions that the benchmark processes reported.
@@ -76,7 +79,19 @@ def bench_run(checkout: str, workload: str, seed: int, seconds: float,
     result = json.loads(lines[-1])
     env_line = next(line for line in lines if line.startswith("environment: "))
     result["env"] = json.loads(env_line.partition(": ")[2])
+    result["failures"] = failures(lines, seed)
     return result
+
+
+def failures(lines: list[str], seed: int) -> list[dict]:
+    """The ``op K FAILED: message`` lines of one run, as
+    ``{"seed", "op", "message"}``."""
+    found = []
+    for line in lines:
+        m = re.match(r"op (\d+) FAILED: (.*)", line)
+        if m:
+            found.append({"seed": seed, "op": int(m.group(1)), "message": m.group(2)})
+    return found
 
 
 def tier1_times(checkout: str) -> dict:
@@ -180,6 +195,7 @@ def main() -> int:
             "first": ["parent" if i % 2 == 0 else "change" for i in range(len(seeds))],
             "attempted_ops": {s: sum(r["attempted"] for r in runs[s]) for s in sides},
             "failed_ops": {s: sum(r["failed"] for r in runs[s]) for s in sides},
+            "failures": {s: [f for r in runs[s] for f in r["failures"]] for s in sides},
             "correct": {s: all(r["correct"] for r in runs[s]) for s in sides},
             "metrics": {m["name"]: compare(
                 m, *[[r["metrics"][m["name"]]["value"] for r in runs[s]] for s in sides])
@@ -192,6 +208,7 @@ def main() -> int:
         per_layer[workload] = {
             "seed": seeds[0],
             "correct": {s: traced[s]["correct"] for s in sides},
+            "failures": {s: traced[s]["failures"] for s in sides},
             "metrics": {name: {s: traced[s]["metrics"][name]["value"] for s in sides}
                         for name in traced["parent"]["metrics"]},
         }
