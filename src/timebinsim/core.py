@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar, Iterable
 
@@ -61,6 +61,10 @@ class LaserId(enum.Enum):
     BLUE = "Blue"
 
 
+def _param(default: float, unit: str, doc: str):
+    return field(default=default, metadata={"unit": unit, "doc": doc})
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Device and environment constants for the emitter/detector chain.
@@ -71,16 +75,16 @@ class PhysicalParams:
     between the early and late emission bins.
     """
 
-    t1_radiative: float = 250.0  # ps, radiative lifetime of the optical transition
-    t2_spin: float = 6.0  # ns, hole-spin coherence time
-    bin_separation: float = 1.5  # ns, early/late time-bin separation
-    pulse_duration: float = 1000.0  # ps, resonant drive pulse width (square-pulse model)
-    p_hole_init: float = 0.5  # probability the reset leaves the spin in |h>
-    cavity_linewidth: float = 2.6  # ueV, FWHM of the incoherent emission line
-    background_rate: float = 0.0  # mean background photons per window
-    detector_jitter: float = 30.0  # ps, Gaussian timing smear (sigma)
-    spin_splitting: float = 19.1  # ueV, total ground-state (Zeeman) splitting
-    reset_flash_rate: float = 0.1  # mean reset-flash photons per window
+    t1_radiative: float = _param(250.0, "ps", "radiative lifetime of the optical transition")
+    t2_spin: float = _param(6.0, "ns", "hole-spin coherence time")
+    bin_separation: float = _param(1.5, "ns", "early/late time-bin separation")
+    pulse_duration: float = _param(1000.0, "ps", "resonant drive pulse width")
+    p_hole_init: float = _param(0.5, "1", "probability the reset prepares the hole state")
+    cavity_linewidth: float = _param(2.6, "ueV", "FWHM of the incoherent emission line")
+    background_rate: float = _param(0.0, "1/window", "mean background photons per window")
+    detector_jitter: float = _param(30.0, "ps", "Gaussian detector timing sigma")
+    spin_splitting: float = _param(19.1, "ueV", "total ground-state splitting")
+    reset_flash_rate: float = _param(0.1, "1/window", "mean reset-flash photons per window")
 
     # -- unit helpers ----------------------------------------------------
     @property
@@ -133,17 +137,7 @@ class PhysicalParams:
 
 # name -> (unit, description); drives the parameter-file docs and CLI help
 PARAM_FIELDS: dict[str, tuple[str, str]] = {
-    "t1_radiative": ("ps", "radiative lifetime of the optical transition"),
-    "t2_spin": ("ns", "hole-spin coherence time"),
-    "bin_separation": ("ns", "early/late time-bin separation"),
-    "pulse_duration": ("ps", "resonant drive pulse width"),
-    "p_hole_init": ("1", "probability the reset prepares the hole state"),
-    "cavity_linewidth": ("ueV", "FWHM of the incoherent emission line"),
-    "background_rate": ("1/window", "mean background photons per window"),
-    "detector_jitter": ("ps", "Gaussian detector timing sigma"),
-    "spin_splitting": ("ueV", "total ground-state splitting"),
-    "reset_flash_rate": ("1/window", "mean reset-flash photons per window"),
-}
+    f.name: (f.metadata["unit"], f.metadata["doc"]) for f in fields(PhysicalParams)}
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,10 @@ the coherent share of the emitted light is
 Weak driving (Omega -> 0) is fully coherent; hard driving degrades the
 coherence, and shorter radiative lifetimes (larger Gamma) protect it.  The
 qubit coherence additionally decays with the hole-spin coherence time: bins
-separated by dt retain a factor exp(-dt / T2).
+separated by dt retain a factor D = exp(-dt / T2).  "Visibility" here means
+the degree of coherence, |coh| / sqrt(p_early p_late): D sqrt(C_0 C_1) in
+``generate_state``, D C_min in :mod:`timebinsim.measurement`'s routing; the
+two agree when both pulses have the same intensity.
 """
 
 from __future__ import annotations

@@ -16,8 +16,11 @@ driving pulses interfere.  A sequence drives each of its two bins with one
 pulse, so a coherent photon's ``bin_index`` names the pulse ``i`` it came
 from; it passes the lock test with probability ``C_min / C_i`` (``C_min`` is
 the smaller of the two coherent fractions), so the overlap fringe carries a
-visibility of ``C_min`` times the spin-dephasing envelope.  Incoherent,
-background and flash photons never interfere.
+visibility of ``D * C_min``, with ``D = exp(-dt/T2)``.  Incoherent,
+background and flash photons never interfere.  "Visibility" here means the
+degree of coherence, ``|coh| / sqrt(p_early * p_late)``; that of
+:func:`~timebinsim.dynamics.generate_state` is ``D * sqrt(C_0 * C_1)``, so
+the two agree when both pulses have the same intensity.
 
 One routing rule gives every event its slot or loses it: :func:`michelson`
 builds detections from it, :func:`fringe_scan` counts from a reused buffer of

@@ -124,6 +124,8 @@ _FUZZ_FLAGS = {
     "g2": {"--background": _FLOAT, "--calibrate-g2": _FLOAT, "--scale": _FLOAT,
            "--window": _ints(-2, 6)},
     "wdm": {"--locked-phase": _FLOAT, "--fwhm": _FLOAT, "--extinction": _FLOAT},
+    "phase-qubits": {"--p-gen": _FLOAT,
+                     "--phases": st.lists(_FLOAT, max_size=2).map(",".join)},
     "visibility-sweep": {"--p-min": _FLOAT, "--p-max": _FLOAT,
                          "--points": _ints(-2, 20), "--mc-points": _ints(-2, 2),
                          "--t1": st.lists(_FLOAT, min_size=1, max_size=2).map(",".join)},
@@ -137,7 +139,7 @@ def test_fuzzed_numeric_flags_never_raise(data):
     # --flag=value, so that argparse takes a value such as -inf as the value
     argv = [command, "--seed=" + data.draw(_ints(0, 2 ** 70)),
             "--trajectories=" + data.draw(_ints(0, 20))]
-    if command == "visibility-sweep":
+    if command in ("phase-qubits", "visibility-sweep"):
         argv += ["--scan-points=4"]
     for flag, values in _FUZZ_FLAGS[command].items():
         if data.draw(st.booleans()):

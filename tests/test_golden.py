@@ -1,4 +1,5 @@
-"""Every CLI artifact of ``tools/golden.py``'s invocations keeps its bytes."""
+"""Every artifact of ``tools/golden.py``'s CLI invocations and API cases
+keeps its bytes."""
 
 import importlib.util
 import os
