@@ -134,20 +134,22 @@ def _case_digests(sequence, overrides, kwargs) -> dict[str, str]:
     }
 
 
-def compute() -> dict[str, dict[str, str]]:
-    """Run every invocation and case; ``{name: {artifact: sha256}}``."""
-    digests = {name: _case_digests(*case) for name, case in CASES.items()}
-    with tempfile.TemporaryDirectory() as root:
-        for name, argv in INVOCATIONS.items():
-            out = os.path.join(root, name)
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli_main([*argv, "--out", out])
-            if code != 0:
-                raise RuntimeError(f"{name}: exit {code}")
-            digests[name] = {
-                f: hashlib.sha256(open(os.path.join(out, f), "rb").read()).hexdigest()
+def digests_of(name: str) -> dict[str, str]:
+    """Run one invocation or case; ``{artifact: sha256}``."""
+    if name in CASES:
+        return _case_digests(*CASES[name])
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main([*INVOCATIONS[name], "--out", out])
+        if code != 0:
+            raise RuntimeError(f"{name}: exit {code}")
+        return {f: hashlib.sha256(open(os.path.join(out, f), "rb").read()).hexdigest()
                 for f in sorted(os.listdir(out))}
-    return digests
+
+
+def compute() -> dict[str, dict[str, str]]:
+    """Run every case and invocation; ``{name: {artifact: sha256}}``."""
+    return {name: digests_of(name) for name in [*CASES, *INVOCATIONS]}
 
 
 def load() -> dict:
