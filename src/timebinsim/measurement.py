@@ -37,13 +37,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Generator
 from scipy.special import erfcx, ndtr
 
 from .core import (InsufficientStatisticsError, PhysicalParams, PulseSequence,
                    TimeBinState, ValidationError, validate, write_csv)
 from .dynamics import generate_state, sequence_drives
-from .montecarlo import CODE_BY_ORIGIN, EventStream, Origin, derived_seed, run
+from .montecarlo import (CODE_BY_ORIGIN, EventStream, Origin, _keyed_rng,
+                         derived_seed, run)
 
 _TAG_MICHELSON = 0x4D49
 _TAG_FILTER = 0x464C
@@ -57,10 +58,6 @@ _SCAN_BLOCK = 1 << 15  # events routed at a time by a fringe scan, 1 MiB of draw
 def _bits(x: float) -> int:
     """Float -> raw 64-bit pattern, for keying substreams on real values."""
     return int(np.float64(x).view(np.uint64))
-
-
-def _substream(*entropy: int) -> Generator:
-    return Generator(Philox(seed=SeedSequence([int(e) for e in entropy])))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +122,7 @@ def _routing_inputs(stream: EventStream) -> tuple[np.ndarray, ...]:
 
 def _routing_rng(seed: int, phase: float, salt: int) -> Generator:
     """The routing uniforms' substream: one row of four per event, in order."""
-    return _substream(seed, _TAG_MICHELSON, _bits(phase), salt)
+    return _keyed_rng(seed, _TAG_MICHELSON, _bits(phase), salt)
 
 
 def _detected(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -305,7 +302,7 @@ def _filter_keep(seed: int, energy_uev: np.ndarray, center_uev: float,
     if not 0 <= extinction <= 1:
         raise ValueError("extinction must lie in [0, 1]")
     trans = filter_transmission(energy_uev, center_uev, fwhm_uev, extinction)
-    rng = _substream(seed, _TAG_FILTER, _bits(center_uev), _bits(fwhm_uev), salt)
+    rng = _keyed_rng(seed, _TAG_FILTER, _bits(center_uev), _bits(fwhm_uev), salt)
     return rng.random(len(energy_uev)) < trans
 
 
@@ -355,7 +352,7 @@ def hbt_g2(stream: EventStream, *, window: int = 5, salt: int = 0) -> HbtResult:
     period[spill] += np.floor_divide(t[spill], period_ps).astype(np.int64)
     period = np.clip(period, 0, n_periods - 1)
 
-    rng = _substream(stream.seed, _TAG_HBT, salt)
+    rng = _keyed_rng(stream.seed, _TAG_HBT, salt)
     to_a = rng.random(len(stream)) < 0.5
     n_a = np.bincount(period, weights=to_a, minlength=n_periods)  # exact below 2**53
     n_b = np.bincount(period, minlength=n_periods) - n_a

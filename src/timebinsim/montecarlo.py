@@ -16,10 +16,14 @@ that emitted it.  On emission the photon is tagged with its origin:
 Uncorrelated background counts (uniform arrival time, random phase, broad
 energy) are overlaid per window with mean ``background_rate``.
 
-Determinism contract: trajectory ``i`` uses draws ``[i*K, (i+1)*K)``,
-``K = 12``, of the Philox stream of the master seed; the stray events of a
-kind take one counter tick each of the stream keyed on ``(seed, kind)``, in
-(window, j) order, so results are bit-identical for any chunk size.
+Determinism contract: every random stream is a Philox generator keyed by
+:func:`_keyed_rng` and read front to back, so ``K`` need not be a whole
+number of Philox's four-uniform counter ticks.  Trajectory ``i`` uses draws
+``[i*K, (i+1)*K)``, ``K = 12``, of the stream of the master seed; the stray
+events of a kind take four uniforms each of the stream keyed on
+``(seed, kind)``, in (window, j) order, so results are bit-identical for any
+chunk size.  An event record is one ``_RECORD`` row; a ``.bin`` file holds
+its little-endian form.
 """
 
 from __future__ import annotations
@@ -60,16 +64,13 @@ class Origin(enum.Enum):
     RESET_FLASH = "ResetFlash"
 
 
-ORIGIN_BY_CODE = {0: Origin.COHERENT_RAMAN, 1: Origin.INCOHERENT_DECAY,
-                  2: Origin.BACKGROUND, 3: Origin.RESET_FLASH}
+ORIGIN_BY_CODE = dict(enumerate(Origin))
 CODE_BY_ORIGIN = {o: c for c, o in ORIGIN_BY_CODE.items()}
 
-
-_COLUMNS = ("trajectory_id", "timestamp_ps", "energy_uev", "origin",
-            "phase_rad", "bin_index")
-_DTYPES = {"trajectory_id": np.int64, "timestamp_ps": np.float64,
-           "energy_uev": np.float64, "origin": np.uint8,
-           "phase_rad": np.float64, "bin_index": np.int32}
+# One event: the columns of an EventStream, in file order, with native dtypes.
+_RECORD = np.dtype([("trajectory_id", np.int64), ("timestamp_ps", np.float64),
+                    ("energy_uev", np.float64), ("origin", np.uint8),
+                    ("phase_rad", np.float64), ("bin_index", np.int32)])
 
 
 def _stream_order(traj: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -130,12 +131,12 @@ class EventStream:
         """One row per event; every float in its shortest round-trip repr,
         as :func:`~timebinsim.core.format_float` writes it."""
         c = self.columns
-        names = [ORIGIN_BY_CODE[code].value for code in range(len(ORIGIN_BY_CODE))]
+        names = [o.value for o in Origin]
         with open(path, "w") as fh:
-            fh.write(",".join(_COLUMNS) + "\n")
+            fh.write(",".join(_RECORD.names) + "\n")
             for lo in range(0, len(self), _CSV_CHUNK):
                 traj, t, e, origin, p, b = (c[k][lo:lo + _CSV_CHUNK].tolist()
-                                            for k in _COLUMNS)
+                                            for k in _RECORD.names)
                 fh.write("".join(
                     f"{i},{ti!r},{ei!r},{names[o]},{pi!r},{bi}\n"
                     for i, ti, ei, o, pi, bi in zip(traj, t, e, origin, p, b)))
@@ -146,20 +147,19 @@ class EventStream:
         origin raises ``ValueError`` with numpy's message, which names the
         row and column."""
         code_by_name = {o.value: c for c, o in ORIGIN_BY_CODE.items()}
-        converters = {_COLUMNS.index("origin"): code_by_name.__getitem__}
+        converters = {_RECORD.names.index("origin"): code_by_name.__getitem__}
         with open(path) as fh:
             header = fh.readline().strip()
-            if header != ",".join(_COLUMNS):
+            if header != ",".join(_RECORD.names):
                 raise ValueError(f"unexpected event CSV header: {header!r}")
             try:
                 with warnings.catch_warnings():  # a header-only file is an empty stream
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    rec = np.loadtxt(fh, dtype=[(k, _DTYPES[k]) for k in _COLUMNS],
-                                     delimiter=",", comments=None, ndmin=1,
-                                     converters=converters)
+                    rec = np.loadtxt(fh, dtype=_RECORD, delimiter=",", comments=None,
+                                     ndmin=1, converters=converters)
             except ValueError as exc:
                 raise ValueError(f"malformed event CSV {path}: {exc}") from exc
-        cols = {k: np.ascontiguousarray(rec[k]) for k in _COLUMNS}
+        cols = {k: np.ascontiguousarray(rec[k]) for k in _RECORD.names}
         return cls(params=params, sequence=sequence, seed=seed,
                    n_trajectories=n_trajectories, columns=cols)
 
@@ -167,8 +167,8 @@ class EventStream:
 
     def to_binary(self, path) -> None:
         """Fixed-width little-endian records with a JSON provenance header."""
-        rec = np.empty(len(self), dtype=self._binary_dtype())
-        for name in _COLUMNS:
+        rec = np.empty(len(self), dtype=_RECORD.newbyteorder("<"))
+        for name in _RECORD.names:
             rec[name] = self.columns[name]
         header = json.dumps({
             "params": self.params.to_dict(),
@@ -183,12 +183,6 @@ class EventStream:
             fh.write(struct.pack("<Q", len(self)))
             fh.write(rec.tobytes())
 
-    @staticmethod
-    def _binary_dtype() -> np.dtype:
-        return np.dtype([("trajectory_id", "<i8"), ("timestamp_ps", "<f8"),
-                         ("energy_uev", "<f8"), ("origin", "<u1"),
-                         ("phase_rad", "<f8"), ("bin_index", "<i4")])
-
     @classmethod
     def from_binary(cls, path) -> "EventStream":
         with open(path, "rb") as fh:
@@ -196,7 +190,7 @@ class EventStream:
         if data[:4] != cls._MAGIC:
             raise ValueError("not an event-stream binary file")
         truncated = ValueError(f"truncated event-stream binary file: {path}")
-        dtype = cls._binary_dtype()
+        dtype = _RECORD.newbyteorder("<")
         try:
             (hlen,) = struct.unpack_from("<I", data, 4)
             (n,) = struct.unpack_from("<Q", data, 8 + hlen)
@@ -217,14 +211,13 @@ class EventStream:
             raise ValueError(f"malformed event-stream header: {path}: "
                              f"{type(exc).__name__}: {exc}") from None
         rec = np.frombuffer(data, dtype=dtype, count=n, offset=start)
-        cols = {name: np.ascontiguousarray(rec[name]).astype(_DTYPES[name])
-                for name in _COLUMNS}
+        cols = {name: rec[name].astype(_RECORD[name]) for name in _RECORD.names}
         return cls(columns=cols, **provenance)
 
 
 # ---------------------------------------------------------------------------
 # Per-trajectory draw layout: slot indices into a trajectory's fixed block
-# of uniform draws.  The width is a multiple of 4 (one Philox counter tick).
+# of uniform draws.
 # ---------------------------------------------------------------------------
 
 _SPIN = 0
@@ -239,6 +232,12 @@ _INTERLASER = 9
 _FLASH_COUNT = 10
 _BG_COUNT = 11
 _WIDTH = 12
+
+
+def _keyed_rng(*entropy: int) -> Generator:
+    """The Philox generator keyed on integer ``entropy``: every random stream
+    of the package, read front to back."""
+    return Generator(Philox(seed=SeedSequence([int(e) for e in entropy])))
 
 
 def derived_seed(*entropy: int) -> int:
@@ -264,8 +263,8 @@ def _safe_ndtri(u: np.ndarray) -> np.ndarray:
 def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
                     draws: np.ndarray, traj_start: int,
                     stray: dict[Origin, Generator]) -> dict[str, np.ndarray]:
-    """Vectorised kernel: one row of uniform draws per trajectory, plus one
-    counter tick per stray event from that kind's generator in ``stray``."""
+    """Vectorised kernel: one row of uniform draws per trajectory, plus four
+    uniforms per stray event from that kind's generator in ``stray``."""
     m = draws.shape[0]
     traj_ids = np.arange(traj_start, traj_start + m, dtype=np.int64)
 
@@ -311,14 +310,13 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
     else:
         delta_rb = np.zeros(n_ph)
 
-    # Amplitude-phase extras per pulse for this trajectory: the dephasing
+    # Amplitude-phase extras of a pulse for this trajectory: the dephasing
     # kick rides on the late-bin amplitude, the inter-laser offset on the
     # blue pulses.  A coherent event stores its own amplitude phase minus
     # the partner's extras, so the interferometer can recover the cross-bin
     # phase difference from the event plus the (known) pulse program alone.
-    extras = kick[:, None] * kick_sigma_by_pulse[None, :] + delta_rb[:, None] * is_blue[None, :]
-    own_extra = np.take_along_axis(extras, idx[:, None], axis=1)[:, 0]
-    partner_extra = np.take_along_axis(extras, 1 - idx[:, None], axis=1)[:, 0]
+    own_extra = kick * kick_sigma_by_pulse[idx] + delta_rb * is_blue[idx]
+    partner_extra = kick * kick_sigma_by_pulse[1 - idx] + delta_rb * is_blue[1 - idx]
 
     phase = np.where(
         coherent,
@@ -343,9 +341,9 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
     }]
 
     # --- stray light: one Poisson layer per kind ---------------------------
-    # Each event of a kind takes the next counter tick (four uniforms) of
-    # that kind's generator, in (window, j) order; chunks are drawn in window
-    # order, so the events never depend on the chunking.
+    # Each event of a kind takes the next four uniforms of that kind's
+    # generator, in (window, j) order; chunks are drawn in window order, so
+    # the events never depend on the chunking.
     for origin, rate, slot in ((Origin.RESET_FLASH, params.reset_flash_rate, _FLASH_COUNT),
                                (Origin.BACKGROUND, params.background_rate, _BG_COUNT)):
         count = _poisson_counts(rate, draws[:, slot])
@@ -370,7 +368,7 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
 def _concatenate(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
     """Columns of ``parts`` joined in order, one column at a time, each
     part's pieces of a column dropped as soon as that column is joined."""
-    return {key: np.concatenate([p.pop(key) for p in parts]) for key in _COLUMNS}
+    return {key: np.concatenate([p.pop(key) for p in parts]) for key in _RECORD.names}
 
 
 def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
@@ -390,7 +388,8 @@ def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
             f"background_rate, reset_flash_rate: {n_trajectories} windows expect "
             f"{stray_mean:.4g} stray events, more than {_MAX_STRAY_EVENTS:.0f}"])
 
-    stray = {o: Generator(Philox(seed=SeedSequence([int(seed), CODE_BY_ORIGIN[o]])))
+    windows = _keyed_rng(seed)
+    stray = {o: _keyed_rng(seed, CODE_BY_ORIGIN[o])
              for o in (Origin.RESET_FLASH, Origin.BACKGROUND)}
     # Blocks cover disjoint, increasing window ranges, so sorting each block
     # as it comes and joining them gives the whole stream's sort.
@@ -398,13 +397,11 @@ def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
     start = 0
     while start < n_trajectories:
         m = min(chunk_size, n_trajectories - start)
-        bg = Philox(seed=SeedSequence(int(seed)))
-        bg.advance(start * _WIDTH // 4)
-        draws = Generator(bg).random((m, _WIDTH))
+        draws = windows.random((m, _WIDTH))
         block = _simulate_block(sequence, params, draws, traj_start=start,
                                 stray=stray)
         order = _stream_order(block["trajectory_id"], block["timestamp_ps"])
-        pieces.append({k: block.pop(k)[order] for k in _COLUMNS})
+        pieces.append({k: block.pop(k)[order] for k in _RECORD.names})
         # Dropped only after the sort: dropped inside the kernel, the
         # uniforms left glibc trimming and re-faulting its heap on almost every
         # run of a g2 calibration (about 0.2 s of system time per calibration).
@@ -412,6 +409,6 @@ def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
         start += m
 
     cols = (_concatenate(pieces) if pieces
-            else {k: np.empty(0, _DTYPES[k]) for k in _COLUMNS})
+            else {k: np.empty(0, _RECORD[k]) for k in _RECORD.names})
     return EventStream(params=params, sequence=sequence, seed=int(seed),
                        n_trajectories=int(n_trajectories), columns=cols)

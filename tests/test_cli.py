@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -376,10 +377,23 @@ def test_phase_qubits_without_phases_is_a_usage_error(tmp_path, capsys, phases):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_phase_qubits_without_side_peak_photons_fails_cleanly(tmp_path, capsys):
-    # Seed 4 gives both scans a fringe phase, but setpoint 1 routes none of
-    # its 8 photons to a side peak.
-    assert main(["phase-qubits", "--trajectories", "2", "--scan-points", "4",
+def test_phase_qubits_without_side_peak_photons_fails_cleanly(tmp_path, capsys,
+                                                             monkeypatch):
+    # Both scans keep a fringe phase, but setpoint 1's scan reports no
+    # side-peak photon.
+    scans = []
+    real_scan = cli.fringe_scan
+
+    def scan(*args, **kwargs):
+        result = real_scan(*args, **kwargs)
+        scans.append(result)
+        if len(scans) == 2:  # the reference, then setpoint 1
+            none = np.zeros_like(result.early_side_counts)
+            result = replace(result, early_side_counts=none, late_side_counts=none)
+        return result
+
+    monkeypatch.setattr(cli, "fringe_scan", scan)
+    assert main(["phase-qubits", "--trajectories", "2000", "--scan-points", "4",
                  "--phases", "0.5", "--param", "p_hole_init=1", "--seed", "4",
                  "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err

@@ -370,10 +370,12 @@ def test_g2_vanishes_for_a_single_photon_stream(photon_stream):
     assert np.all(res.g2 >= 0)
 
 
-def test_g2_decay_tails_motivate_the_window_gate(photon_stream):
+def test_g2_decay_tails_motivate_the_window_gate(clean_params):
     # ungated, the rare > 3 ns decay tail spills into the next window and
-    # fakes a tiny zero-lag signal; the gate removes it entirely
-    raw = hbt_g2(photon_stream).zero_lag
+    # fakes a tiny zero-lag signal; the gate removes it entirely.  60,000
+    # windows expect about 39 spilled coincidences, so 0 is not chance.
+    stream = run(two_pulse_sequence(), clean_params, 60_000, seed=21)
+    raw = hbt_g2(stream).zero_lag
     assert 0.0 < raw < 0.01
 
 

@@ -47,11 +47,8 @@ def test_chunk_size_never_changes_the_result(params):
         assert _columns_equal(whole, chunked)
 
 
-def test_draw_block_is_counter_aligned(params):
-    # ten source slots plus one count uniform per kind of stray light,
-    # in whole Philox counter ticks of four uniforms
-    assert montecarlo._WIDTH == 12 and montecarlo._WIDTH % 4 == 0
-    # every window reads its own counters of the source block, and stray
+def test_longer_run_extends_a_shorter_one(params):
+    # every window reads its own draws of the source stream, and stray
     # events are drawn in window order, so a longer run extends a shorter
     # one window for window, stray events included
     seq = two_pulse_sequence()
@@ -291,7 +288,7 @@ def test_csv_writes_every_float_as_format_float(tmp_path):
     path = tmp_path / "edge.csv"
     stream.to_csv(path)
     c = stream.columns
-    rows = [",".join(montecarlo._COLUMNS)] + [
+    rows = [",".join(montecarlo._RECORD.names)] + [
         f"{c['trajectory_id'][i]},{format_float(c['timestamp_ps'][i])},"
         f"{format_float(c['energy_uev'][i])},{ORIGIN_BY_CODE[int(c['origin'][i])].value},"
         f"{format_float(c['phase_rad'][i])},{c['bin_index'][i]}" for i in range(len(stream))]
@@ -328,7 +325,7 @@ def test_csv_reads_empty_and_one_event_files(tmp_path):
 ])
 def test_csv_rejects_a_bad_row_by_number(tmp_path, row, match):
     path = tmp_path / "bad.csv"
-    header = ",".join(montecarlo._COLUMNS)
+    header = ",".join(montecarlo._RECORD.names)
     path.write_text(f"{header}\n0,1.0,2.0,CoherentRaman,0.5,0\n\n{row}\n")
     with pytest.raises(ValueError, match=f"malformed event CSV .*bad.csv: .*{match}"):
         _read_csv(path)
