@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    PYTHONPATH=src python3 tools/seed_sweep.py --seeds 0-299 --out SWEEP_18.json
+    PYTHONPATH=src python3 tools/seed_sweep.py --seeds 0-299 --out sweep.json
 
 For each seed, each statistical workload of ``perfbench/workloads.py``
 (``phase_readout``, ``g2_calibration`` and ``remeasure``) runs its
