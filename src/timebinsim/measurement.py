@@ -6,25 +6,24 @@ routed stochastically:
 
 * 1/4 -> its own side peak (short arm for an early-bin photon, long arm for
   a late-bin photon),
-* 1/2 -> the overlap slot, where it is detected with probability
-  ``(1 + cos(dphi + phase_if)) / 2``; ``dphi`` is the photon's cross-bin
-  phase when it interferes and an independent uniform wash phase otherwise,
-* 1/4 -> the unmonitored port (lost).
+* ``(1 + L * cos(dphi + phase_if)) / 4`` -> detected in the overlap slot,
+* the rest -> lost (the unmonitored port, or undetected in the overlap).
 
-Only photons whose full emission amplitude stayed phase-locked to both
-driving pulses interfere.  A sequence drives each of its two bins with one
-pulse, so a coherent photon's ``bin_index`` names the pulse ``i`` it came
-from; it passes the lock test with probability ``C_min / C_i`` (``C_min`` is
-the smaller of the two coherent fractions), so the overlap fringe carries a
-visibility of ``D * C_min``, with ``D = exp(-dt/T2)``.  Incoherent,
-background and flash photons never interfere.  "Visibility" here means the
+``dphi`` is the photon's cross-bin phase and ``L`` its fringe weight.  Only
+photons whose full emission amplitude stayed phase-locked to both driving
+pulses interfere.  A sequence drives each of its two bins with one pulse, so
+a coherent photon's ``bin_index`` names the pulse ``i`` it came from, and
+its weight is ``L = C_min / C_i`` (``C_min`` is the smaller of the two
+coherent fractions); the overlap fringe then carries a visibility of
+``D * C_min``, with ``D = exp(-dt/T2)``.  Incoherent, background and flash
+photons have ``L = 0`` and never interfere.  "Visibility" here means the
 degree of coherence, ``|coh| / sqrt(p_early * p_late)``; that of
 :func:`~timebinsim.dynamics.generate_state` is ``D * sqrt(C_0 * C_1)``, so
 the two agree when both pulses have the same intensity.
 
-One routing rule gives every event its slot or loses it: :func:`michelson`
-builds detections from it, :func:`fringe_scan` counts from a reused buffer of
-draws, and a float32 cosine screens its exact float64 detection test.
+One routing rule, one uniform per event, gives every event its slot or loses
+it: :func:`michelson` builds detections from it and :func:`fringe_scan`
+counts from a reused buffer of draws.
 
 All randomness is drawn from substreams derived from the event stream's
 master seed, so every measurement is reproducible and independent
@@ -51,9 +50,7 @@ _TAG_FILTER = 0x464C
 _TAG_HBT = 0x4842
 _TAG_FRINGE = 0x4652
 
-_TWO_PI = 2.0 * np.pi
-_SCREEN_MARGIN = 1e-4  # see _detected
-_SCAN_BLOCK = 1 << 15  # events routed at a time by a fringe scan, 1 MiB of draws
+_SCAN_BLOCK = 1 << 15  # events routed at a time by a fringe scan, 256 KiB of draws
 
 def _bits(x: float) -> int:
     """Float -> raw 64-bit pattern, for keying substreams on real values."""
@@ -104,9 +101,10 @@ class MichelsonResult:
 
 def _routing_inputs(stream: EventStream) -> tuple[np.ndarray, ...]:
     """Per-event routing inputs, the same at every setpoint: the SLOT_SIDE_*
-    of the event's own bin (int8), the probability C_min / C_own that it
-    stays locked to both pulses (0 unless coherent), and the cross-bin phase
-    it then carries, early-bin amplitude phase minus late-bin phase."""
+    of the event's own bin (int8) and its fringe phasor ``(x, y) = L * (cos
+    dphi, sin dphi)``.  ``L = C_min / C_own`` is the weight of a coherent
+    photon and ``dphi`` its cross-bin phase, early-bin amplitude phase minus
+    late-bin phase; every other event has ``x = y = 0`` whatever its phase."""
     cols = stream.columns
     phases = cols["phase_rad"]
     late = cols["bin_index"] >= 1
@@ -114,41 +112,35 @@ def _routing_inputs(stream: EventStream) -> tuple[np.ndarray, ...]:
     cfrac = np.array([d.coherent_fraction for d in drives])
     early_phase, late_phase = (p.phase for p in stream.sequence.pulses)
     coherent = cols["origin"] == CODE_BY_ORIGIN[Origin.COHERENT_RAMAN]
-    lock_p = np.where(coherent, cfrac.min() / cfrac[late.astype(np.intp)], 0.0)
+    weight = np.where(coherent, cfrac.min() / cfrac[late.astype(np.intp)], 0.0)
     dphi = np.where(late, early_phase - phases, phases - late_phase)
+    dphi[~coherent] = 0.0  # NaN included: an unlocked phase carries no fringe
+    with np.errstate(invalid="ignore"):  # an infinite phase gives NaN, never detected
+        x = np.cos(dphi)
+        y = np.sin(dphi, out=dphi)
+    x *= weight
+    y *= weight
     own_side = np.where(late, np.int8(SLOT_SIDE_LATE), np.int8(SLOT_SIDE_EARLY))
-    return own_side, lock_p, dphi
+    return own_side, x, y
 
 
 def _routing_rng(seed: int, phase: float, salt: int) -> Generator:
-    """The routing uniforms' substream: one row of four per event, in order."""
+    """The routing uniforms' substream: one per event, in order."""
     return _keyed_rng(seed, _TAG_MICHELSON, _bits(phase), salt)
 
 
-def _detected(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """``u < 0.5 * (1 + cos(theta))``, by a float32 cosine where ``u`` is over
-    ``_SCREEN_MARGIN`` from it and ``|theta| < 64`` (float32 moves it by under
-    1e-6 there), else, NaN and huge theta included, by the float64 rule."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = u - 0.5 * (1.0 + np.cos(theta.astype(np.float32)))
-    hit = gap < 0.0
-    unsure = np.flatnonzero(~((np.abs(gap) > _SCREEN_MARGIN) & (np.abs(theta) < 64.0)))
-    hit[unsure] = u[unsure] < 0.5 * (1.0 + np.cos(theta[unsure]))
-    return hit
-
-
-def _route(lock_p: np.ndarray, dphi: np.ndarray, u: np.ndarray,
+def _route(x: np.ndarray, y: np.ndarray, u: np.ndarray,
            interferometer_phase: float) -> tuple[np.ndarray, np.ndarray]:
-    """The events sent to their own side peak (mask) and the indices of those
-    detected in the overlap slot; the rest are lost.  An event's row of ``u``:
-    [0] routes it ([0, 1/4) own side peak, [1/4, 3/4) overlap slot), [1]
-    decides the lock, [2] the detection and [3] an unlocked wash phase."""
-    route = u[:, 0].copy()  # contiguous: the compares then run at full speed
-    side = route < 0.25
-    overlap = np.flatnonzero(~side & (route < 0.75))
-    uo = u.take(overlap, axis=0)  # whole rows: one gather instead of three
-    phase_term = np.where(uo[:, 1] < lock_p[overlap], dphi[overlap], _TWO_PI * uo[:, 3])
-    return side, overlap[_detected(uo[:, 2], phase_term + interferometer_phase)]
+    """The events sent to their own side peak and those detected in the
+    overlap slot (two masks); the rest are lost.  An event's uniform ``u``
+    sends it to its side peak below 1/4 and detects it in the overlap below
+    ``1/2 + L cos(dphi + phase) / 4``, that is ``x cos(phase) - y sin(phase)``
+    over 4; a non-finite phase detects nothing there."""
+    with np.errstate(invalid="ignore"):
+        cos_phi, sin_phi = np.cos(interferometer_phase), np.sin(interferometer_phase)
+    side = u < 0.25
+    middle = ~side & (u < 0.5 + 0.25 * (x * cos_phi - y * sin_phi))
+    return side, middle
 
 
 def michelson(stream: EventStream, interferometer_phase: float = 0.0, *,
@@ -158,9 +150,9 @@ def michelson(stream: EventStream, interferometer_phase: float = 0.0, *,
     The detections form a stream of their own, in stream order, each
     delayed by the arm it took; ``slots`` names each detection's slot.
     """
-    own_side, lock_p, dphi = _routing_inputs(stream)
-    u = _routing_rng(stream.seed, interferometer_phase, salt).random((len(stream), 4))
-    side, middle = _route(lock_p, dphi, u, interferometer_phase)
+    own_side, x, y = _routing_inputs(stream)
+    u = _routing_rng(stream.seed, interferometer_phase, salt).random(len(stream))
+    side, middle = _route(x, y, u, interferometer_phase)
     slot = np.where(side, own_side, np.int8(_SLOT_LOST))
     slot[middle] = SLOT_MIDDLE
     keep = slot != _SLOT_LOST
@@ -243,7 +235,8 @@ def fringe_scan(source: EventStream | PulseSequence, phases, *,
     light never reaches the interferometer (see :func:`reject_reset_light`).
 
     Each setpoint counts the slots that ``michelson(reject_reset_light(stream),
-    phase, salt=salt)`` detects, from the same draws.
+    phase, salt=salt)`` detects, from the same draws: one uniform per event,
+    routed a block of events at a time.
     """
     phases = np.atleast_1d(np.asarray(phases, float))
     if phases.size < 4:
@@ -257,18 +250,19 @@ def fringe_scan(source: EventStream | PulseSequence, phases, *,
         if k == 0 or not recorded:  # a recorded stream is prepared once
             stream = source if recorded else run(source, params, n_trajectories,
                                                  derived_seed(seed, _TAG_FRINGE, k))
-            own_side, lock_p, dphi = _routing_inputs(stream)
+            own_side, x, y = _routing_inputs(stream)
             if (flash := stream.origin_mask(Origin.RESET_FLASH)).any():
-                own_side, lock_p, dphi = (a[~flash] for a in (own_side, lock_p, dphi))
+                own_side, x, y = (a[~flash] for a in (own_side, x, y))
             own_late = own_side == SLOT_SIDE_LATE
-            u = np.empty((min(len(own_late), _SCAN_BLOCK), 4))  # one block's draws
+            u = np.empty(min(len(own_late), _SCAN_BLOCK))  # one block's draws
         rng = _routing_rng(stream.seed, float(phi), salt)
         for lo in range(0, len(own_late), _SCAN_BLOCK):
             block = slice(lo, lo + _SCAN_BLOCK)
-            side, detected = _route(lock_p[block], dphi[block],
+            side, detected = _route(x[block], y[block],
                                     rng.random(out=u[:len(own_late) - lo]), float(phi))
             n_late = np.count_nonzero(side & own_late[block])
-            counts[k] += (np.count_nonzero(side) - n_late, detected.size, n_late, len(side))
+            counts[k] += (np.count_nonzero(side) - n_late, np.count_nonzero(detected),
+                          n_late, len(side))
     early, middle, late, n_input = counts.T
     return FringeScan(phases, middle, early, late, n_input)
 
@@ -323,7 +317,7 @@ class HbtResult:
     g2: np.ndarray
     coincidences: np.ndarray
     norm: float
-    se: np.ndarray  # rough 1-sigma on each g2 point
+    se: np.ndarray  # 1-sigma on each g2 point, the norm's error included
 
     @property
     def zero_lag(self) -> float:
@@ -372,7 +366,8 @@ def hbt_g2(stream: EventStream, *, window: int = 5, salt: int = 0) -> HbtResult:
         raise InsufficientStatisticsError(
             "no side-peak coincidences: not enough events to normalise g2")
     g2 = coinc / norm
-    se = np.sqrt(np.maximum(coinc, 1.0)) / norm
+    # delta method for C / norm, norm the mean of the side lags' sum S
+    se = np.sqrt(np.maximum(coinc, 1.0) + coinc * coinc / side.sum()) / norm
     return HbtResult(lags=lags, g2=g2, coincidences=coinc, norm=norm, se=se)
 
 

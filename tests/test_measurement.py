@@ -15,8 +15,8 @@ from timebinsim import (HbtResult, InsufficientStatisticsError, Origin,
                         two_pulse_sequence)
 from timebinsim import measurement
 from timebinsim.measurement import (_SLOT_LOST, _TAG_FRINGE, SLOT_MIDDLE,
-                                    SLOT_SIDE_EARLY, SLOT_SIDE_LATE, _detected,
-                                    _route, _routing_rng, _routing_inputs,
+                                    SLOT_SIDE_EARLY, SLOT_SIDE_LATE, _route,
+                                    _routing_rng, _routing_inputs,
                                     gated_photon_probability, lorentzian_line,
                                     measure_g2)
 from timebinsim.montecarlo import derived_seed
@@ -123,9 +123,9 @@ def test_run_rejects_a_three_bin_sequence(clean_params):
 
 def test_routing_kernel_slots_are_the_michelson_slots(stray_stream):
     stream = stray_stream
-    own_side, lock_p, dphi = _routing_inputs(stream)
-    u = _routing_rng(stream.seed, 0.8, 5).random((len(stream), 4))
-    side, middle = _route(lock_p, dphi, u, 0.8)
+    own_side, x, y = _routing_inputs(stream)
+    u = _routing_rng(stream.seed, 0.8, 5).random(len(stream))
+    side, middle = _route(x, y, u, 0.8)
     slot = np.where(side, own_side, _SLOT_LOST)
     slot[middle] = SLOT_MIDDLE
     res = michelson(stream, 0.8, salt=5)
@@ -150,48 +150,38 @@ def test_michelson_detection_is_reproducible(photon_stream):
     assert not np.array_equal(a.slots, c.slots)
 
 
-# -- the float32 screen of the overlap detection ------------------------------
+# -- the routing law -----------------------------------------------------------
 
-def _float64_rule(u, theta):
-    return u < 0.5 * (1.0 + np.cos(theta))
-
-
-_ULP64 = float(np.nextafter(64.0, 0.0))
+_LAW_DRAWS = 100_000
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 2, math.pi - 1e-3, math.pi,
-                                   -2.5, 63.0, 64.0, -64.0, _ULP64, -_ULP64,
-                                   # float32 is off by more than the margin here
-                                   1e5 + 0.3, -30000.9, 1e300, -1e300])
-def test_screen_decides_like_the_float64_rule_next_to_p_detect(theta):
-    p = float(0.5 * (1.0 + np.cos(np.full(1, theta)))[0])
-    near = [p, *(np.nextafter(p, d) for d in (0.0, 1.0)),
-            *(np.nextafter(np.nextafter(p, d), d) for d in (0.0, 1.0))]
-    # just outside the screen's margin, where float32 decides when |theta| < 64
-    beyond = [p + s * (measurement._SCREEN_MARGIN + e)
-              for s in (-1.0, 1.0) for e in (1e-9, 1e-6, 1e-4)]
-    u = np.array(near + beyond)
-    thetas = np.full(u.size, theta)
-    assert np.array_equal(_detected(u, thetas), _float64_rule(u, thetas))
+@pytest.mark.parametrize("weight,dphi,phase", [
+    (0.0, 0.4, 0.0), (0.3, 0.4, 1.1), (1.0, 0.0, 0.0), (1.0, 0.5, math.pi - 0.5),
+    (1.0, -2.5, 0.9), (0.3, -1e3, 1e3), (1.0, 1e3, 1e3)])
+def test_route_sends_a_quarter_to_the_side_and_the_fringe_to_the_middle(
+        weight, dphi, phase):
+    u = np.random.default_rng(41).random(_LAW_DRAWS)
+    x = np.full(u.size, weight * math.cos(dphi))
+    y = np.full(u.size, weight * math.sin(dphi))
+    side, middle = _route(x, y, u, phase)
+    assert not (side & middle).any()
+    for mask, p in ((side, 0.25), (middle, 0.25 * (1.0 + weight * math.cos(dphi + phase)))):
+        assert abs(mask.mean() - p) <= 4.0 * math.sqrt(p * (1.0 - p) / u.size) + 1e-12
 
 
-def test_screen_treats_nan_as_the_float64_rule_does():
-    u = np.linspace(0.0, 1.0, 11)
-    assert not _detected(u, np.full(u.size, np.nan)).any()
-
-
-def test_screen_matches_the_float64_rule_on_random_draws():
-    rng = np.random.default_rng(7)
-    u = rng.random(400_000)
-    theta = rng.uniform(-70.0, 70.0, u.size)
-    assert np.array_equal(_detected(u, theta), _float64_rule(u, theta))
-
-
-def test_float32_detection_probability_is_within_a_tenth_of_the_margin():
-    theta = np.linspace(-64.0, 64.0, 2_000_001)[1:-1]
-    approx = 0.5 * (1.0 + np.cos(theta.astype(np.float32)))
-    exact = 0.5 * (1.0 + np.cos(theta))
-    assert np.max(np.abs(approx - exact)) <= 0.1 * measurement._SCREEN_MARGIN
+def test_nan_phases_never_reach_the_middle_unless_incoherent(stray_stream):
+    cols = stray_stream.columns
+    cols["phase_rad"] = np.full(len(stray_stream), np.nan)
+    coherent = stray_stream.origin_mask(Origin.COHERENT_RAMAN)
+    assert coherent.any() and (~coherent).sum() > 1000
+    _, x, y = _routing_inputs(stray_stream)
+    assert np.isnan(x[coherent]).all()
+    assert not x[~coherent].any() and not y[~coherent].any()
+    u = _routing_rng(stray_stream.seed, 0.3, 0).random(len(stray_stream))
+    _, middle = _route(x, y, u, 0.3)
+    assert not middle[coherent].any()
+    n = int((~coherent).sum())
+    assert abs(middle[~coherent].mean() - 0.25) <= 4.0 * math.sqrt(0.1875 / n)
 
 
 # -- fringe scans -------------------------------------------------------------
@@ -395,6 +385,18 @@ def test_g2_poissonian_control(clean_params):
     res = hbt_g2(_windowed(stream))
     mid = len(res.g2) // 2
     assert abs(res.zero_lag - 1.0) < 3 * res.se[mid]
+
+
+def test_g2_error_bar_carries_the_normalisation_error(clean_params):
+    # norm is the mean of the side lags' sum S over 2 * window lags, so the
+    # delta method for C / norm gives Var = (C + C**2 / S) / norm**2; for a
+    # Poisson stream that is (g2 + g2**2 / (2 * window)) / norm
+    cfg = replace(clean_params, p_hole_init=0.0, background_rate=0.5)
+    stream = run(two_pulse_sequence(), cfg, 50_000, seed=26)
+    res = hbt_g2(_windowed(stream), window=1)
+    c, s = res.coincidences[1], res.coincidences[[0, 2]].sum()
+    assert res.se[1] == pytest.approx(math.sqrt(c + c * c / s) / res.norm, rel=1e-12)
+    assert res.se[1] ** 2 * res.norm == pytest.approx(1.5, rel=0.1)
 
 
 def test_g2_background_raises_zero_lag(clean_params):

@@ -78,8 +78,8 @@ _BLUE_EARLY = PulseSequence(
 
 # name: (sequence, params overrides, run() keyword arguments)
 CASES = {
-    # early-bin cross-bin phases near -1e3 rad: the float32 screen of the
-    # overlap detection falls back to float64 for them
+    # early-bin cross-bin phases near -1e3 rad, far outside one turn, enter
+    # the overlap threshold through their cosine and sine
     "pulse-phase-1e3": (sequence_for_pgen(0.6, phase2=1e3), {}, {}),
     "two-colour-free": (build_wdm_sequence(WdmSpec()), {}, {}),
     "blue-early": (_BLUE_EARLY, {}, {}),
