@@ -169,6 +169,26 @@ def test_route_sends_a_quarter_to_the_side_and_the_fringe_to_the_middle(
         assert abs(mask.mean() - p) <= 4.0 * math.sqrt(p * (1.0 - p) / u.size) + 1e-12
 
 
+_ULP64 = float(np.nextafter(64.0, 0.0))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 2, math.pi - 1e-3, math.pi,
+                                   -2.5, 63.0, 64.0, -64.0, _ULP64, -_ULP64,
+                                   1e5 + 0.3, -30000.9, 1e300, -1e300])
+def test_route_decides_with_strict_compares_next_to_both_thresholds(theta):
+    # a full-weight photon at phase 0: the overlap threshold is 1/2 + cos(theta)/4
+    x, y = float(np.cos(theta)), float(np.sin(theta))
+    t = 0.5 + 0.25 * x
+    assert 0.25 <= t <= 0.75
+    near = [t, *(np.nextafter(t, d) for d in (0.0, 1.0)),
+            *(np.nextafter(np.nextafter(t, d), d) for d in (0.0, 1.0)),
+            0.25, *(np.nextafter(0.25, d) for d in (0.0, 1.0))]
+    u = np.array(near)
+    side, middle = _route(np.full(u.size, x), np.full(u.size, y), u, 0.0)
+    assert np.array_equal(side, u < 0.25)
+    assert np.array_equal(middle, (u >= 0.25) & (u < t))
+
+
 def test_nan_phases_never_reach_the_middle_unless_incoherent(stray_stream):
     cols = stray_stream.columns
     cols["phase_rad"] = np.full(len(stray_stream), np.nan)
