@@ -17,13 +17,15 @@ Uncorrelated background counts (uniform arrival time, random phase, broad
 energy) are overlaid per window with mean ``background_rate``.
 
 Determinism contract: every random stream is a Philox generator keyed by
-:func:`_keyed_rng` and read front to back, so ``K`` need not be a whole
-number of Philox's four-uniform counter ticks.  Trajectory ``i`` uses draws
-``[i*K, (i+1)*K)``, ``K = 12``, of the stream of the master seed; the stray
-events of a kind take four uniforms each of the stream keyed on
-``(seed, kind)``, in (window, j) order, so results are bit-identical for any
-chunk size.  An event record is one ``_RECORD`` row; a ``.bin`` file holds
-its little-endian form.
+:func:`_keyed_rng` and read front to back, so a draw width need not be a
+whole number of Philox's four-uniform counter ticks.  Window ``i`` takes
+draws ``[3i, 3i+3)`` of the stream of the master seed: its outcome, then
+one Poisson count uniform per kind of stray light.  Each photon takes the
+next five uniforms of the stream keyed on ``(seed, _PHOTONS)``, in window
+order; each reset-flash event takes one uniform, and each background event
+three, of the stream keyed on ``(seed, kind)``, in (window, j) order.  So
+results are bit-identical for any chunk size.  An event record is one
+``_RECORD`` row; a ``.bin`` file holds its little-endian form.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ RESET_FLASH_ENERGY_UEV = 1.396e5
 
 # Most stray events (reset flash plus background) a run may expect, rate
 # times windows.  Memory grows with the events: a 200,000-window run at the
-# bound peaks near 1.06 GB RSS.
+# bound peaks near 1.10 GB RSS.
 _MAX_STRAY_EVENTS = 2.0 ** 24
 
 _TWO_PI = 2.0 * np.pi
@@ -215,28 +217,15 @@ class EventStream:
         return cls(columns=cols, **provenance)
 
 
-# ---------------------------------------------------------------------------
-# Per-trajectory draw layout: slot indices into a trajectory's fixed block
-# of uniform draws.
-# ---------------------------------------------------------------------------
-
-_SPIN = 0
-_EMISSION = 1  # early pulse; the late pulse uses _EMISSION + 1
-_ORIGIN = 3
-_DECAY = 4
-_JITTER = 5
-_KICK = 6
-_INC_PHASE = 7
-_INC_ENERGY = 8
-_INTERLASER = 9
-_FLASH_COUNT = 10
-_BG_COUNT = 11
-_WIDTH = 12
+# Key of the photon stream next to the master seed: nonzero, or it would
+# draw the window stream itself (see _keyed_rng).
+_PHOTONS = 0x5048
 
 
 def _keyed_rng(*entropy: int) -> Generator:
     """The Philox generator keyed on integer ``entropy``: every random stream
-    of the package, read front to back."""
+    of the package, read front to back.  A key ending in 0 draws the same
+    stream as the key without that 0."""
     return Generator(Philox(seed=SeedSequence([int(e) for e in entropy])))
 
 
@@ -261,54 +250,54 @@ def _safe_ndtri(u: np.ndarray) -> np.ndarray:
 
 
 def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
-                    draws: np.ndarray, traj_start: int,
+                    draws: np.ndarray, traj_start: int, photons: Generator,
                     stray: dict[Origin, Generator]) -> dict[str, np.ndarray]:
-    """Vectorised kernel: one row of uniform draws per trajectory, plus four
-    uniforms per stray event from that kind's generator in ``stray``."""
-    m = draws.shape[0]
+    """Vectorised kernel: one row of three window uniforms per trajectory in
+    ``draws``, five uniforms per photon from ``photons`` and the uniforms
+    each stray event reads from that kind's generator in ``stray``."""
+    m = len(draws)
     traj_ids = np.arange(traj_start, traj_start + m, dtype=np.int64)
+    outcome, flash_count, bg_count = draws.T
 
     drives = sequence_drives(sequence, params)
     pulses = sequence.pulses
     dt_ps = params.bin_separation_ps
     window = params.window_ps(sequence.n_bins)
 
-    exc = np.array([d.excitation for d in drives])
+    e0, e1 = (d.excitation for d in drives)
     cfrac = np.array([d.coherent_fraction for d in drives])
     phases = np.array([p.phase for p in pulses])
     detunings = np.array([p.detuning for p in pulses])
     is_blue = np.array([p.laser_id is LaserId.BLUE for p in pulses])
 
-    # --- spin preparation, early pulse, then late pulse ---------------------
-    in_hole = draws[:, _SPIN] < params.p_hole_init
-    early = in_hole & (draws[:, _EMISSION] < exc[0])
-    late = in_hole & ~early & (draws[:, _EMISSION + 1] < exc[1])
-    has = early | late
-    idx = late[has].astype(np.int64)  # pulse index == bin index
-    n_ph = idx.size
-    rows = draws[has]
+    # --- one outcome per window: early, late (the spin survived the early
+    # pulse) or no photon, with generate_state's p_early and p_late ---------
+    p_early = params.p_hole_init * e0
+    p_late = params.p_hole_init * (1.0 - e0) * e1
+    has = outcome < p_early + p_late
+    idx = (outcome[has] >= p_early).astype(np.int64)  # pulse index == bin index
+    # A coherent photon reads its last two uniforms as dephasing kick and
+    # inter-laser phase, an incoherent one as phase and energy.
+    origin_u, decay_u, jitter_u, u3, u4 = photons.random((idx.size, 5)).T
 
-    coherent = rows[:, _ORIGIN] < cfrac[idx]
+    coherent = origin_u < cfrac[idx]
 
     t = (idx * dt_ps
-         - params.t1_radiative * np.log1p(-rows[:, _DECAY])
-         + params.detector_jitter * _safe_ndtri(rows[:, _JITTER]))
+         - params.t1_radiative * np.log1p(-decay_u)
+         + params.detector_jitter * _safe_ndtri(jitter_u))
     t = np.maximum(t, 0.0)
 
     # Spin dephasing between the bins: one Gaussian phase kick per
     # trajectory, riding on the late-bin amplitude with standard deviation
     # sqrt(2*dt/T2), so the cross-bin ensemble coherence carries
     # <exp(i*kick)> = exp(-dt/T2).
-    kick = _safe_ndtri(rows[:, _KICK])
+    kick = _safe_ndtri(u3)
     kick_sigma_by_pulse = np.sqrt(
         2.0 * params.bin_separation * np.arange(2) / params.t2_spin)
 
     # Free-running two-colour drives settle on a new relative optical phase
     # every window; single-colour (or locked) drives keep zero offset.
-    if sequence.random_interlaser_phase:
-        delta_rb = _TWO_PI * rows[:, _INTERLASER]
-    else:
-        delta_rb = np.zeros(n_ph)
+    delta_rb = _TWO_PI * u4 if sequence.random_interlaser_phase else 0.0
 
     # Amplitude-phase extras of a pulse for this trajectory: the dephasing
     # kick rides on the late-bin amplitude, the inter-laser offset on the
@@ -321,12 +310,12 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
     phase = np.where(
         coherent,
         phases[idx] + own_extra - partner_extra,
-        _TWO_PI * rows[:, _INC_PHASE],
+        _TWO_PI * u3,
     )
     energy = np.where(
         coherent,
         detunings[idx],
-        0.5 * params.cavity_linewidth * np.tan(np.pi * (rows[:, _INC_ENERGY] - 0.5)),
+        0.5 * params.cavity_linewidth * np.tan(np.pi * (u4 - 0.5)),
     )
     origin = np.where(coherent, CODE_BY_ORIGIN[Origin.COHERENT_RAMAN],
                       CODE_BY_ORIGIN[Origin.INCOHERENT_DECAY]).astype(np.uint8)
@@ -341,26 +330,30 @@ def _simulate_block(sequence: PulseSequence, params: PhysicalParams,
     }]
 
     # --- stray light: one Poisson layer per kind ---------------------------
-    # Each event of a kind takes the next four uniforms of that kind's
-    # generator, in (window, j) order; chunks are drawn in window order, so
-    # the events never depend on the chunking.
-    for origin, rate, slot in ((Origin.RESET_FLASH, params.reset_flash_rate, _FLASH_COUNT),
-                               (Origin.BACKGROUND, params.background_rate, _BG_COUNT)):
-        count = _poisson_counts(rate, draws[:, slot])
-        u = stray[origin].random((int(count.sum()), 4))
+    # A flash event takes the next uniform of its kind's generator (phase),
+    # a background event the next three (time, phase, energy), in (window,
+    # j) order; chunks are drawn in window order, so the events never
+    # depend on the chunking.
+    for origin, rate, count_u, width in (
+            (Origin.RESET_FLASH, params.reset_flash_rate, flash_count, 1),
+            (Origin.BACKGROUND, params.background_rate, bg_count, 3)):
+        count = _poisson_counts(rate, count_u)
+        u = stray[origin].random((int(count.sum()), width))
         if origin is Origin.RESET_FLASH:
-            t, energy = np.zeros(len(u)), np.full(len(u), RESET_FLASH_ENERGY_UEV)
+            t, phase_u = np.zeros(len(u)), u[:, 0]
+            energy = np.full(len(u), RESET_FLASH_ENERGY_UEV)
         else:
-            t, energy = window * u[:, 0], params.spin_splitting * (2.0 * u[:, 2] - 1.0)
+            t, phase_u = window * u[:, 0], u[:, 1]
+            energy = params.spin_splitting * (2.0 * u[:, 2] - 1.0)
         parts.append({
             "trajectory_id": np.repeat(traj_ids, count),
             "timestamp_ps": t,
             "energy_uev": energy,
             "origin": np.full(len(u), CODE_BY_ORIGIN[origin], np.uint8),
-            "phase_rad": _TWO_PI * u[:, 1],
+            "phase_rad": _TWO_PI * phase_u,
             "bin_index": np.clip(t / dt_ps, 0, sequence.n_bins - 1).astype(np.int32),
         })
-        del u
+        del u, phase_u
 
     return _concatenate(parts)
 
@@ -382,13 +375,15 @@ def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
     validate(params)
     if n_trajectories < 0:
         raise ValueError("n_trajectories must be >= 0")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     stray_mean = (params.background_rate + params.reset_flash_rate) * n_trajectories
     if stray_mean > _MAX_STRAY_EVENTS:
         raise ValidationError([
             f"background_rate, reset_flash_rate: {n_trajectories} windows expect "
             f"{stray_mean:.4g} stray events, more than {_MAX_STRAY_EVENTS:.0f}"])
 
-    windows = _keyed_rng(seed)
+    windows, photons = _keyed_rng(seed), _keyed_rng(seed, _PHOTONS)
     stray = {o: _keyed_rng(seed, CODE_BY_ORIGIN[o])
              for o in (Origin.RESET_FLASH, Origin.BACKGROUND)}
     # Blocks cover disjoint, increasing window ranges, so sorting each block
@@ -397,9 +392,9 @@ def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
     start = 0
     while start < n_trajectories:
         m = min(chunk_size, n_trajectories - start)
-        draws = windows.random((m, _WIDTH))
+        draws = windows.random((m, 3))
         block = _simulate_block(sequence, params, draws, traj_start=start,
-                                stray=stray)
+                                photons=photons, stray=stray)
         order = _stream_order(block["trajectory_id"], block["timestamp_ps"])
         pieces.append({k: block.pop(k)[order] for k in _RECORD.names})
         # Dropped only after the sort: dropped inside the kernel, the

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 from scipy import stats
+from scipy.special import ndtri
 
-from timebinsim import (EventStream, Origin, PhysicalParams, PulseSequence,
-                        ResonantPulse, ValidationError, montecarlo, run,
-                        two_pulse_sequence)
+from timebinsim import (EventStream, LaserId, Origin, PhysicalParams,
+                        PulseSequence, ResonantPulse, ValidationError,
+                        generate_state, montecarlo, run, two_pulse_sequence)
 from timebinsim.core import format_float
+from timebinsim.dynamics import sequence_drives
 from timebinsim.montecarlo import (CODE_BY_ORIGIN, ORIGIN_BY_CODE,
                                    RESET_FLASH_ENERGY_UEV)
 
@@ -38,12 +40,13 @@ def test_same_seed_is_bit_identical(params):
     assert not _columns_equal(s1, s3)
 
 
-def test_chunk_size_never_changes_the_result(params):
+@pytest.mark.parametrize("chunk_size", [1, 777, 1023])
+def test_chunk_size_never_changes_the_result(params, chunk_size):
     seq = two_pulse_sequence()
     heavy = replace(params, background_rate=2.5, reset_flash_rate=1.5)
     for cfg in (params, heavy):
         whole = run(seq, cfg, 4096, seed=7)
-        chunked = run(seq, cfg, 4096, seed=7, chunk_size=777)
+        chunked = run(seq, cfg, 4096, seed=7, chunk_size=chunk_size)
         assert _columns_equal(whole, chunked)
 
 
@@ -58,30 +61,89 @@ def test_longer_run_extends_a_shorter_one(params):
     assert _columns_equal(short, longer.subset(longer.columns["trajectory_id"] < 1000))
 
 
+_BLUE_LATE = PulseSequence(
+    pulses=(ResonantPulse(intensity=1.0, phase=0.3, detuning=-9.55),
+            ResonantPulse(intensity=4.0, phase=2.2, laser_id=LaserId.BLUE,
+                          detuning=9.55)),
+    random_interlaser_phase=True)
+
+
+def _philox(*key: int) -> Generator:
+    return Generator(Philox(SeedSequence(list(key))))
+
+
 @pytest.mark.parametrize("chunk_size", [1 << 17, 777])
-def test_stray_events_take_consecutive_ticks_of_their_kind(params, chunk_size):
+def test_events_take_consecutive_uniforms_of_their_stream(params, chunk_size):
     n, seed = 3000, 21
     cfg = replace(params, background_rate=2.5, reset_flash_rate=1.5)
-    stream = run(two_pulse_sequence(), cfg, n, seed=seed, chunk_size=chunk_size)
+    stream = run(_BLUE_LATE, cfg, n, seed=seed, chunk_size=chunk_size)
     window = cfg.window_ps(2)
-    for origin in (Origin.RESET_FLASH, Origin.BACKGROUND):
+    # a flash event reads one uniform (phase), a background event three
+    # (time, phase, energy), in (window, j) order: the first N rows, no more
+    for origin, width in ((Origin.RESET_FLASH, 1), (Origin.BACKGROUND, 3)):
         got = stream.subset(stream.origin_mask(origin)).columns
         count = np.bincount(got["trajectory_id"], minlength=n)
-        # one tick per event, in (window, j) order: the first N rows, no more
-        u = Generator(Philox(SeedSequence([seed, CODE_BY_ORIGIN[origin]]))).random(
-            (int(count.sum()), 4))
+        u = _philox(seed, CODE_BY_ORIGIN[origin]).random((int(count.sum()), width))
         traj = np.repeat(np.arange(n), count)
         if origin is Origin.RESET_FLASH:
-            t = np.zeros(len(u))
+            t, phase_u = np.zeros(len(u)), u[:, 0]
             energy = np.full(len(u), RESET_FLASH_ENERGY_UEV)
         else:
-            t = window * u[:, 0]
+            t, phase_u = window * u[:, 0], u[:, 1]
             energy = cfg.spin_splitting * (2.0 * u[:, 2] - 1.0)
         order = np.lexsort((t, traj))
         assert np.array_equal(got["trajectory_id"], traj[order])
         assert np.array_equal(got["timestamp_ps"], t[order])
         assert np.array_equal(got["energy_uev"], energy[order])
-        assert np.array_equal(got["phase_rad"], 2.0 * np.pi * u[order, 1])
+        assert np.array_equal(got["phase_rad"], 2.0 * np.pi * phase_u[order])
+    # a window emits at most one photon, so the photons stand in window
+    # order; each reads the next five uniforms of the photon key: origin,
+    # decay, jitter, then kick and inter-laser phase if coherent, phase and
+    # energy if not
+    got = stream.subset(stream.photon_mask).columns
+    origin_u, decay_u, jitter_u, u3, u4 = _philox(seed, montecarlo._PHOTONS).random(
+        (len(got["origin"]), 5)).T
+    b = got["bin_index"]
+    cfrac = np.array([d.coherent_fraction for d in sequence_drives(_BLUE_LATE, cfg)])
+    coherent = origin_u < cfrac[b]
+    assert np.array_equal(got["origin"] == CODE_BY_ORIGIN[Origin.COHERENT_RAMAN],
+                          coherent)
+    t = np.maximum(b * cfg.bin_separation_ps - cfg.t1_radiative * np.log1p(-decay_u)
+                   + cfg.detector_jitter * ndtri(np.clip(jitter_u, 1e-12, 1 - 1e-12)),
+                   0.0)
+    assert np.array_equal(got["timestamp_ps"], t)
+    inc = ~coherent
+    assert np.array_equal(got["phase_rad"][inc], 2.0 * np.pi * u3[inc])
+    assert np.array_equal(got["energy_uev"][inc],
+                          0.5 * cfg.cavity_linewidth * np.tan(np.pi * (u4[inc] - 0.5)))
+    assert np.array_equal(got["energy_uev"][coherent],
+                          np.array([-9.55, 9.55])[b[coherent]])
+    # the kick rides on the late bin, the inter-laser phase on the blue one
+    kick = ndtri(np.clip(u3, 1e-12, 1 - 1e-12)) * np.sqrt(
+        2.0 * cfg.bin_separation / cfg.t2_spin)
+    late = kick + 2.0 * np.pi * u4
+    phase = np.array([0.3, 2.2])[b] + np.where(b == 1, late, -late)
+    assert np.allclose(np.exp(1j * got["phase_rad"][coherent]),
+                       np.exp(1j * phase[coherent]), rtol=0, atol=1e-12)
+
+
+def test_run_streams_never_alias(params, monkeypatch):
+    keys = []
+
+    def keyed(*entropy):
+        keys.append(entropy)
+        return _philox(*entropy)
+
+    monkeypatch.setattr(montecarlo, "_keyed_rng", keyed)
+    seed = 5
+    run(two_pulse_sequence(), params, 10, seed=seed)
+    # the window, photon, reset-flash and background streams
+    assert len(keys) == 4 and all(k[0] == seed for k in keys)
+    first = {_philox(*k).random() for k in keys}
+    assert len(first) == 4
+    # SeedSequence pads its entropy with zero words, so a key that ends in
+    # 0 would draw the stream of the key without it
+    assert _philox(seed, 0).random() == _philox(seed).random()
 
 
 @st.composite
@@ -158,6 +220,23 @@ def test_at_most_one_photon_at_any_drive(clean_params):
     photons = stream.subset(stream.photon_mask)
     counts = np.bincount(photons.columns["trajectory_id"], minlength=10_000)
     assert counts.max() <= 1
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0])
+@pytest.mark.parametrize("p_hole_init", [0.5, 1.0])
+def test_window_outcomes_follow_the_closed_form_state(clean_params, scale, p_hole_init):
+    n = 100_000
+    cfg = replace(clean_params, p_hole_init=p_hole_init)
+    seq = two_pulse_sequence(scale=scale)
+    stream = run(seq, cfg, n, seed=17)
+    bins = stream.subset(stream.photon_mask).columns["bin_index"]
+    state = generate_state(seq, cfg)
+    early, late = int(np.sum(bins == 0)), int(np.sum(bins == 1))
+    for k, p in ((early, state.p_early), (late, state.p_late),
+                 (n - early - late, 1.0 - state.p_early - state.p_late)):
+        sigma = np.sqrt(n * p * (1.0 - p))
+        # a share of 0 or 1 must come out exactly
+        assert abs(k - n * p) <= max(4.0 * sigma, 0.5), (k, n * p, sigma)
 
 
 def test_hole_preparation_thins_every_trajectory(params):
@@ -418,9 +497,13 @@ def test_run_peaks_near_the_size_of_its_stream():
     assert peak <= 2.5 * held, peak / held
 
 
-def test_run_validates_inputs(params):
+def test_run_validates_inputs(params, clean_params):
     with pytest.raises(ValueError):
         run(two_pulse_sequence(), params, -1, seed=0)
+    for cfg in (clean_params, params):
+        for chunk_size in (0, -1):
+            with pytest.raises(ValueError, match="chunk_size"):
+                run(two_pulse_sequence(), cfg, 10, seed=1, chunk_size=chunk_size)
     bad = PhysicalParams(t1_radiative=-1.0)
     with pytest.raises(Exception):
         run(two_pulse_sequence(), bad, 10, seed=0)
