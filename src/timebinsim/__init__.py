@@ -3,8 +3,7 @@ spin-cavity emitter."""
 
 from .core import (BlochVector, ConfigError, InsufficientStatisticsError,
                    LaserId, PhysicalParams, PulseSequence, ResonantPulse,
-                   TimeBinState, ValidationError, load_params, purity_bound,
-                   validate)
+                   TimeBinState, ValidationError, load_params, purity_bound)
 from .dynamics import (expected_visibility, generate_state,
                        sequence_drives, sequence_for_pgen,
                        two_pulse_sequence, visibility_curve)
@@ -35,6 +34,6 @@ __all__ = [
     "reconstruct", "recovery_report", "reject_reset_light",
     "run", "sequence_drives", "sequence_for_pgen",
     "spectral_filter",
-    "two_pulse_sequence", "unwrap_phases", "validate", "visibility_curve",
+    "two_pulse_sequence", "unwrap_phases", "visibility_curve",
     "write_states_csv",
 ]

@@ -28,8 +28,7 @@ from dataclasses import replace
 import numpy as np
 
 from .core import (ConfigError, InsufficientStatisticsError, PARAM_FIELDS,
-                   PhysicalParams, ValidationError, load_params, validate,
-                   write_csv)
+                   PhysicalParams, ValidationError, load_params, write_csv)
 from .dynamics import (expected_visibility, generate_state, sequence_for_pgen,
                        two_pulse_sequence, visibility_curve,
                        write_visibility_csv)
@@ -99,7 +98,6 @@ def _resolve_params(args) -> PhysicalParams:
             raise ConfigError(f"--param {name.strip()}: not a number: {value!r}") from None
     if overrides:
         params = PhysicalParams.from_dict({**params.to_dict(), **overrides})
-        validate(params)
     return params
 
 
@@ -233,7 +231,6 @@ def cmd_g2(args, out: _OutDir) -> int:
         params = replace(params, background_rate=calibrated)
     elif args.background is not None:
         params = replace(params, background_rate=args.background)
-        validate(params)
     result = measure_g2(seq, params, args.trajectories, args.seed,
                         window=args.window)
     out.write("g2.csv", result.to_csv)

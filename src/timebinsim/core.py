@@ -10,10 +10,10 @@ Unit conventions, used consistently across the package:
 * phases and rotation angles: radians,
 * rates (background, reset flash): mean counts per pulse-sequence window.
 
-All value types are immutable.  ``validate`` checks every invariant of an
-object and reports *all* violations at once, by field name, so a bad
-parameter file produces one complete error message instead of a scavenger
-hunt.
+All value types are immutable, and constructing one checks every invariant:
+an invalid value raises ``ValidationError`` listing *all* violations at once,
+by field name, so a bad parameter file produces one complete error message
+instead of a scavenger hunt.  No value type exists in an invalid state.
 """
 
 from __future__ import annotations
@@ -61,12 +61,21 @@ class LaserId(enum.Enum):
     BLUE = "Blue"
 
 
+class _Checked:
+    """Base of the value types: ``__post_init__`` raises ValidationError
+    unless ``violations()``, the type's list of broken invariants, is empty."""
+
+    def __post_init__(self):
+        if violations := self.violations():
+            raise ValidationError(violations)
+
+
 def _param(default: float, unit: str, doc: str):
     return field(default=default, metadata={"unit": unit, "doc": doc})
 
 
 @dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(_Checked):
     """Device and environment constants for the emitter/detector chain.
 
     Defaults describe a cavity-enhanced quantum-dot hole spin driven in the
@@ -108,7 +117,10 @@ class PhysicalParams:
         v = [f"{f.name}: must be finite" for f in fields(self)
              if not math.isfinite(getattr(self, f.name))]
         # Scales up to 1e100 keep every drawn time, phase and energy finite.
-        for name in ("t1_radiative", "t2_spin", "bin_separation", "pulse_duration",
+        # From 1e-100 up, 2 Gamma^2 = 2 / t1^2 in the coherent fraction is finite.
+        if not 1e-100 <= self.t1_radiative <= 1e100:
+            v.append("t1_radiative: must lie in [1e-100, 1e100]")
+        for name in ("t2_spin", "bin_separation", "pulse_duration",
                      "cavity_linewidth", "spin_splitting"):
             if not 0 < getattr(self, name) <= 1e100:
                 v.append(f"{name}: must lie in (0, 1e100]")
@@ -141,7 +153,7 @@ PARAM_FIELDS: dict[str, tuple[str, str]] = {
 
 
 @dataclass(frozen=True)
-class ResonantPulse:
+class ResonantPulse(_Checked):
     """One resonant drive pulse.
 
     ``intensity`` is in units of the reference intensity that realises a
@@ -186,7 +198,7 @@ class ResonantPulse:
 
 
 @dataclass(frozen=True)
-class PulseSequence:
+class PulseSequence(_Checked):
     """The drive program for one generation window: ``pulses`` is
     (early, late), and a pulse's position names the time bin it drives.
 
@@ -204,14 +216,12 @@ class PulseSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "pulses", tuple(self.pulses))
+        super().__post_init__()
 
     def violations(self) -> list[str]:
-        v = []
         if len(self.pulses) != 2:
-            v.append(f"pulses: need two pulses (early, late), got {len(self.pulses)}")
-        for i, p in enumerate(self.pulses):
-            v.extend(f"pulses[{i}].{s}" for s in p.violations())
-        return v
+            return [f"pulses: need two pulses (early, late), got {len(self.pulses)}"]
+        return []
 
     def to_dict(self) -> dict:
         return {
@@ -228,7 +238,7 @@ class PulseSequence:
 
 
 @dataclass(frozen=True)
-class TimeBinState:
+class TimeBinState(_Checked):
     """Sub-normalised two-bin photonic state.
 
     ``p_early`` and ``p_late`` are occupation probabilities of the early and
@@ -260,7 +270,7 @@ class TimeBinState:
 
 
 @dataclass(frozen=True)
-class BlochVector:
+class BlochVector(_Checked):
     x: float
     y: float
     z: float
@@ -288,16 +298,6 @@ class BlochVector:
 def purity_bound(state: TimeBinState) -> float:
     """Largest coherence magnitude compatible with the state's populations."""
     return math.sqrt(max(state.p_early, 0.0) * max(state.p_late, 0.0))
-
-
-def validate(obj) -> None:
-    """Check every invariant of ``obj``; raise ValidationError listing all failures."""
-    try:
-        violations = obj.violations()
-    except AttributeError:  # pragma: no cover - programming error
-        raise TypeError(f"{type(obj).__name__} has no invariants to validate")
-    if violations:
-        raise ValidationError(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +332,7 @@ def parse_params_text(text: str) -> PhysicalParams:
 
 def load_params(path: str | Path) -> PhysicalParams:
     """Load a parameter file, rejecting unknown keys; missing keys keep defaults."""
-    params = parse_params_text(Path(path).read_text())
-    validate(params)
-    return params
+    return parse_params_text(Path(path).read_text())
 
 
 def format_float(x: float) -> str:

@@ -34,7 +34,6 @@ from .core import (
     PulseSequence,
     ResonantPulse,
     TimeBinState,
-    validate,
     write_csv,
 )
 
@@ -67,8 +66,6 @@ def sequence_drives(sequence: PulseSequence,
     """Each pulse's (excitation, coherent_fraction), in sequence order: a
     pulse of intensity I has area theta = (pi/2) sqrt(I), excites with
     probability sin^2(theta/2) and emits the coherent share C(Gamma, Omega)."""
-    validate(sequence)
-    validate(params)
     thetas = [_HALF_PI * math.sqrt(p.intensity) for p in sequence.pulses]
     return tuple(_Drive(excitation=min(1.0, math.sin(t / 2.0) ** 2),
                         coherent_fraction=_coherent_fraction(t, params))
@@ -82,12 +79,10 @@ def two_pulse_sequence(scale: float = 1.0, phase2: float = 0.0) -> PulseSequence
     is the optical phase programmed onto the second pulse, which becomes the
     qubit phase of the generated time-bin state.
     """
-    seq = PulseSequence(pulses=(
+    return PulseSequence(pulses=(
         ResonantPulse(intensity=float(scale)),
         ResonantPulse(intensity=scale * 4.0, phase=phase2),
     ))
-    validate(seq)
-    return seq
 
 
 def sequence_for_pgen(p_gen: float, phase2: float = 0.0) -> PulseSequence:
@@ -120,9 +115,7 @@ def generate_state(sequence: PulseSequence, params: PhysicalParams) -> TimeBinSt
             d0.coherent_fraction * d1.coherent_fraction)
         arg = p0.phase - p1.phase
         coherence = mag * complex(math.cos(arg), math.sin(arg))
-    state = TimeBinState(p_early=p_early, p_late=p_late, coherence=coherence)
-    validate(state)
-    return state
+    return TimeBinState(p_early=p_early, p_late=p_late, coherence=coherence)
 
 
 def expected_visibility(p_gen: float, params: PhysicalParams) -> float:
@@ -133,7 +126,6 @@ def expected_visibility(p_gen: float, params: PhysicalParams) -> float:
     coherence loss, so V = exp(-dt/T2) * C(Gamma, Omega_2).
     """
     theta2 = _late_angle(p_gen)
-    validate(params)
     dephasing = math.exp(-params.bin_separation / params.t2_spin)
     return dephasing * _coherent_fraction(theta2, params)
 

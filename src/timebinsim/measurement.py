@@ -40,7 +40,7 @@ from numpy.random import Generator
 from scipy.special import erfcx, ndtr
 
 from .core import (InsufficientStatisticsError, PhysicalParams, PulseSequence,
-                   TimeBinState, ValidationError, validate, write_csv)
+                   TimeBinState, ValidationError, write_csv)
 from .dynamics import generate_state, sequence_drives
 from .montecarlo import (CODE_BY_ORIGIN, EventStream, Origin, _keyed_rng,
                          derived_seed, run)
@@ -334,12 +334,17 @@ def hbt_g2(stream: EventStream, *, window: int = 5, salt: int = 0) -> HbtResult:
     Counts are aggregated per sequence window (trajectory windows laid end
     to end), split between two detectors, and cross-correlated at integer
     period lags.  ``g2`` normalises by the mean side-peak coincidence rate
-    over ``1 <= |lag| <= window``.
+    over ``1 <= |lag| <= window``; a ``window`` as long as the run's
+    ``n_trajectories + 1`` periods raises InsufficientStatisticsError.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    period_ps = stream.params.window_ps(stream.sequence.n_bins)
     n_periods = stream.n_trajectories + 1  # decay tails may spill one period
+    if window >= n_periods:
+        raise InsufficientStatisticsError(
+            f"window {window} is not shorter than the run's {n_periods} "
+            "periods: its outer lags hold no period pairs")
+    period_ps = stream.params.window_ps(stream.sequence.n_bins)
     t = stream.columns["timestamp_ps"]
     period = stream.columns["trajectory_id"].astype(np.int64)  # a copy
     spill = np.flatnonzero(~((t >= 0.0) & (t < period_ps)))  # the rest floor to 0
@@ -354,8 +359,6 @@ def hbt_g2(stream: EventStream, *, window: int = 5, salt: int = 0) -> HbtResult:
     lags = np.arange(-window, window + 1)
     coinc = np.zeros(lags.size)
     for i, k in enumerate(lags):
-        if abs(k) >= n_periods:
-            continue  # the lag exceeds the acquisition: no pairs to count
         if k >= 0:
             coinc[i] = float(np.dot(n_a[: n_periods - k], n_b[k:]))
         else:

@@ -40,8 +40,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import ndtri, pdtr
 
-from .core import (LaserId, PhysicalParams, PulseSequence, ValidationError,
-                   validate)
+from .core import LaserId, PhysicalParams, PulseSequence, ValidationError
 from .dynamics import sequence_drives
 
 # Non-resonant reset flash sits far above the Raman photons in energy
@@ -207,13 +206,14 @@ class EventStream:
                           "sequence": PulseSequence.from_dict(meta["sequence"]),
                           "seed": int(meta["seed"]),
                           "n_trajectories": int(meta["n_trajectories"])}
-            validate(provenance["params"])
-            validate(provenance["sequence"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed event-stream header: {path}: "
                              f"{type(exc).__name__}: {exc}") from None
         rec = np.frombuffer(data, dtype=dtype, count=n, offset=start)
         cols = {name: rec[name].astype(_RECORD[name]) for name in _RECORD.names}
+        if n and (code := cols["origin"].max()) >= len(Origin):
+            raise ValueError(f"malformed event-stream binary file: {path}: "
+                             f"origin code {code} is not an Origin")
         return cls(columns=cols, **provenance)
 
 
@@ -371,8 +371,6 @@ def run(sequence: PulseSequence, params: PhysicalParams, n_trajectories: int,
     The result is a pure function of (sequence, params, n_trajectories,
     seed); ``chunk_size`` only bounds memory and never changes the output.
     """
-    validate(sequence)
-    validate(params)
     if n_trajectories < 0:
         raise ValueError("n_trajectories must be >= 0")
     if chunk_size < 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlochVector, TimeBinState, validate, write_csv
+from .core import BlochVector, TimeBinState, write_csv
 from .measurement import FringeScan
 
 
@@ -127,10 +127,8 @@ def reconstruct(p_early: float, p_late: float, visibility: float,
     q0 = p_early / total
     q1 = p_late / total
     r = visibility * np.sqrt(q0 * q1)
-    vec = BlochVector(x=2.0 * r * np.cos(phase), y=2.0 * r * np.sin(phase),
-                      z=q0 - q1)
-    validate(vec)
-    return vec
+    return BlochVector(x=2.0 * r * np.cos(phase), y=2.0 * r * np.sin(phase),
+                       z=q0 - q1)
 
 
 def bloch_of_state(state: TimeBinState) -> BlochVector:
@@ -139,11 +137,9 @@ def bloch_of_state(state: TimeBinState) -> BlochVector:
     total = state.p_early + state.p_late
     if total <= 0:
         raise ValueError("state has no photonic weight")
-    vec = BlochVector(x=2.0 * state.coherence.real / total,
-                      y=-2.0 * state.coherence.imag / total,
-                      z=(state.p_early - state.p_late) / total)
-    validate(vec)
-    return vec
+    return BlochVector(x=2.0 * state.coherence.real / total,
+                       y=-2.0 * state.coherence.imag / total,
+                       z=(state.p_early - state.p_late) / total)
 
 
 def fidelity(measured: BlochVector, target: BlochVector) -> float:

@@ -16,14 +16,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (InsufficientStatisticsError, LaserId, PhysicalParams,
-                   PulseSequence, validate, write_csv)
+                   PulseSequence, _Checked, write_csv)
 from .dynamics import two_pulse_sequence
 from .measurement import _filter_keep
 from .montecarlo import EventStream, Origin, run
 
 
 @dataclass(frozen=True)
-class WdmSpec:
+class WdmSpec(_Checked):
     """Detunings (ueV, relative to the bare line) of the red laser, which
     drives the early bin, and the blue laser, which drives the late bin,
     plus an optional locked relative phase between the lasers
@@ -59,16 +59,13 @@ def build_wdm_sequence(spec: WdmSpec | None = None) -> PulseSequence:
     draws a fresh relative phase between the two lasers.
     """
     spec = spec or WdmSpec()
-    validate(spec)
     locked = spec.locked_phase is not None
     early, late = two_pulse_sequence().pulses
-    seq = PulseSequence(
+    return PulseSequence(
         pulses=(replace(early, laser_id=LaserId.RED, detuning=spec.red_detuning),
                 replace(late, phase=spec.locked_phase if locked else 0.0,
                         laser_id=LaserId.BLUE, detuning=spec.blue_detuning)),
         random_interlaser_phase=not locked)
-    validate(seq)
-    return seq
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,7 @@ def test_invalid_parameter_value_fails_validation(tmp_path, capsys):
     ["visibility-sweep", "--t1", "0"],
     ["visibility-sweep", "--t1", "inf"],
     ["visibility-sweep", "--t1", "-5"],
+    ["visibility-sweep", "--t1", "1e-200"],
     ["visibility-sweep", "--points", "-1"],
     ["visibility-sweep", "--mc-points", "-1"],
     ["g2", "--scale", "inf"],
@@ -357,6 +358,16 @@ def test_g2_needs_enough_statistics(tmp_path, capsys):
     assert main(["g2", "--trajectories", "1",
                  "--out", str(tmp_path / "o")]) == 3
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", ["200", "1000000000000"])
+def test_g2_window_longer_than_the_run_fails_cleanly(tmp_path, capsys, window):
+    assert main(["g2", "--trajectories", "100", "--window", window,
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: window {window} is not shorter than the run's 101 " \
+        "periods: its outer lags hold no period pairs\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_phase_qubits_without_photons_fails_cleanly(tmp_path, capsys):

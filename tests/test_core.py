@@ -1,22 +1,22 @@
 import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from timebinsim import (BlochVector, ConfigError, LaserId, PhysicalParams,
                         PulseSequence, ResonantPulse, TimeBinState,
-                        ValidationError, load_params, purity_bound, validate)
+                        ValidationError, WdmSpec, load_params, purity_bound)
 from timebinsim.core import format_float, parse_params_text
 
 
 def test_default_params_are_valid(params):
-    validate(params)  # must not raise
+    assert params.violations() == []
 
 
 def test_validation_reports_all_violations_at_once():
-    bad = PhysicalParams(t1_radiative=-1.0, p_hole_init=2.0, background_rate=-0.5)
     with pytest.raises(ValidationError) as err:
-        validate(bad)
+        PhysicalParams(t1_radiative=-1.0, p_hole_init=2.0, background_rate=-0.5)
     text = str(err.value)
     assert "t1_radiative" in text
     assert "p_hole_init" in text
@@ -26,7 +26,7 @@ def test_validation_reports_all_violations_at_once():
 
 def test_pulse_must_fit_inside_a_bin():
     with pytest.raises(ValidationError, match="pulse_duration"):
-        validate(PhysicalParams(pulse_duration=2000.0, bin_separation=1.5))
+        PhysicalParams(pulse_duration=2000.0, bin_separation=1.5)
 
 
 def test_unit_helpers(params):
@@ -88,19 +88,17 @@ def _pulse(laser=LaserId.RED, **kw):
 def test_sequence_round_trip():
     seq = PulseSequence(pulses=(_pulse(), _pulse(LaserId.BLUE, phase=0.3)),
                         random_interlaser_phase=True)
-    validate(seq)
     assert seq.n_bins == 2
     assert PulseSequence.from_dict(seq.to_dict()) == seq
 
 
 def test_sequence_rejects_double_booking():
     # two bins hold two pulses; a third would share a bin with another
-    seq = PulseSequence(pulses=(_pulse(), _pulse(), _pulse()))
     with pytest.raises(ValidationError, match="pulses: need two pulses"):
-        validate(seq)
+        PulseSequence(pulses=(_pulse(), _pulse(), _pulse()))
     # a second colour does not make room for a second pulse in one bin
     with pytest.raises(ValidationError, match="pulses: need two pulses"):
-        validate(PulseSequence(pulses=(_pulse(), _pulse(), _pulse(LaserId.BLUE))))
+        PulseSequence(pulses=(_pulse(), _pulse(), _pulse(LaserId.BLUE)))
 
 
 def test_sequence_rejects_out_of_range_bin():
@@ -108,30 +106,28 @@ def test_sequence_rejects_out_of_range_bin():
     # range, and a single pulse leaves the late bin without one
     for pulses in ((_pulse(),), (_pulse(), _pulse(), _pulse())):
         with pytest.raises(ValidationError, match="pulses: need two pulses"):
-            validate(PulseSequence(pulses=pulses))
+            PulseSequence(pulses=pulses)
 
 
-def test_negative_intensity_is_reported_with_bin_prefix():
-    seq = PulseSequence(pulses=(_pulse(), ResonantPulse(intensity=-2.0)))
-    with pytest.raises(ValidationError, match=r"pulses\[1\].intensity"):
-        validate(seq)
-    for bad in (math.inf, math.nan):
-        assert ResonantPulse(intensity=bad).violations() == [
-            "intensity: must be finite and >= 0"]
+def test_bad_intensity_is_reported_by_field():
+    for bad in (-2.0, math.inf, math.nan):
+        with pytest.raises(ValidationError) as err:
+            ResonantPulse(intensity=bad)
+        assert err.value.violations == ["intensity: must be finite and >= 0"]
 
 
 # -- states -----------------------------------------------------------------
 
 def test_state_purity_examples():
-    validate(TimeBinState(p_early=0.5, p_late=0.5, coherence=0.389))
-    validate(TimeBinState(p_early=0.5, p_late=0.5, coherence=0.5))  # boundary
+    TimeBinState(p_early=0.5, p_late=0.5, coherence=0.389)
+    TimeBinState(p_early=0.5, p_late=0.5, coherence=0.5)  # boundary
     with pytest.raises(ValidationError, match="coherence"):
-        validate(TimeBinState(p_early=0.5, p_late=0.5, coherence=0.6))
+        TimeBinState(p_early=0.5, p_late=0.5, coherence=0.6)
 
 
 def test_state_occupation_cap():
     with pytest.raises(ValidationError, match="total occupation"):
-        validate(TimeBinState(p_early=0.7, p_late=0.4))
+        TimeBinState(p_early=0.7, p_late=0.4)
 
 
 def test_purity_bound_value():
@@ -151,18 +147,32 @@ def test_bloch_vector_geometry():
     v = BlochVector(0.6, 0.0, 0.8)
     assert v.norm == pytest.approx(1.0)
     assert v.dot(BlochVector(1, 0, 0)) == pytest.approx(0.6)
-    n = BlochVector(3, 0, 4).normalized()
+    n = BlochVector(0.3, 0, 0.4).normalized()
     assert (n.x, n.z) == pytest.approx((0.6, 0.8))
     with pytest.raises(ValueError):
         BlochVector(0, 0, 0).normalized()
     with pytest.raises(ValidationError):
-        validate(BlochVector(1.1, 0, 0))
-    validate(BlochVector(1.0000005, 0, 0))  # inside the fit slack
+        BlochVector(1.1, 0, 0)
+    BlochVector(1.0000005, 0, 0)  # inside the fit slack
 
 
-def test_validate_rejects_plain_objects():
-    with pytest.raises(TypeError):
-        validate(object())
+@pytest.mark.parametrize("valid,name,bad", [
+    (PhysicalParams(), "p_hole_init", 2.0),
+    (PhysicalParams(), "t1_radiative", 1e-200),
+    (ResonantPulse(intensity=1.0), "intensity", -1.0),
+    (PulseSequence(pulses=(_pulse(), _pulse())), "pulses", (_pulse(),)),
+    (TimeBinState(p_early=0.5, p_late=0.5), "coherence", 0.6),
+    (BlochVector(1.0, 0.0, 0.0), "x", 1.1),
+    (WdmSpec(), "locked_phase", math.nan),
+], ids=["params", "t1", "pulse", "sequence", "state", "bloch", "wdm"])
+def test_invalid_values_cannot_be_constructed(valid, name, bad):
+    kwargs = {f.name: getattr(valid, f.name) for f in fields(valid)}
+    for build in (lambda: type(valid)(**{**kwargs, name: bad}),
+                  lambda: replace(valid, **{name: bad})):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert any(name in v.split(":")[0].replace("/", ",").split(",")
+                   for v in err.value.violations), err.value.violations
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

@@ -86,9 +86,9 @@ def test_coherent_fraction_rejects_bad_rates(params):
 
 
 def test_sequence_drives_rejects_bad_inputs(params):
-    three = PulseSequence(pulses=(ResonantPulse(intensity=1.0),) * 3)
     with pytest.raises(ValidationError, match="two pulses"):
-        sequence_drives(three, params)
+        sequence_drives(PulseSequence(pulses=(ResonantPulse(intensity=1.0),) * 3),
+                        params)
     with pytest.raises(ValidationError, match="t1_radiative"):
         generate_state(two_pulse_sequence(), PhysicalParams(t1_radiative=-250.0))
     with pytest.raises(ValidationError, match="t1_radiative"):

@@ -114,11 +114,11 @@ def test_michelson_is_invariant_under_a_global_drive_phase(clean_params):
 
 
 def test_run_rejects_a_three_bin_sequence(clean_params):
-    seq = PulseSequence(pulses=(ResonantPulse(intensity=1.0),
-                                ResonantPulse(intensity=1.0),
-                                ResonantPulse(intensity=4.0)))
     with pytest.raises(ValidationError, match="pulses"):
-        run(seq, clean_params, 2000, seed=24)
+        run(PulseSequence(pulses=(ResonantPulse(intensity=1.0),
+                                  ResonantPulse(intensity=1.0),
+                                  ResonantPulse(intensity=4.0))),
+            clean_params, 2000, seed=24)
 
 
 def test_routing_kernel_slots_are_the_michelson_slots(stray_stream):
@@ -429,8 +429,17 @@ def test_g2_background_raises_zero_lag(clean_params):
 
 def test_g2_insufficient_statistics(clean_params):
     stream = run(two_pulse_sequence(), clean_params, 1, seed=28)
-    with pytest.raises(InsufficientStatisticsError):
-        hbt_g2(stream)
+    with pytest.raises(InsufficientStatisticsError, match="no side-peak"):
+        hbt_g2(stream, window=1)
+
+
+def test_g2_window_must_be_shorter_than_the_run(clean_params):
+    stream = run(two_pulse_sequence(), clean_params, 100, seed=29)
+    assert len(hbt_g2(stream, window=100).lags) == 201  # lag 100 holds one pair
+    for window in (101, 200, 10 ** 12):
+        with pytest.raises(InsufficientStatisticsError,
+                           match=f"window {window} .* 101 periods"):
+            hbt_g2(stream, window=window)
 
 
 def test_analytic_background_rate_inverts_the_g2_formula():

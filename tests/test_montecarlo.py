@@ -444,6 +444,12 @@ def test_binary_round_trip_restores_provenance(tmp_path, params):
         short.write_bytes(whole[:cut])
         with pytest.raises(ValueError, match="truncated"):
             EventStream.from_binary(short)
+    # a first record whose origin byte names no Origin
+    unknown = bytearray(whole)
+    unknown[16 + hlen + montecarlo._RECORD.fields["origin"][1]] = 7
+    (tmp_path / "origin7.bin").write_bytes(bytes(unknown))
+    with pytest.raises(ValueError, match="malformed event-stream binary file"):
+        EventStream.from_binary(tmp_path / "origin7.bin")
     # headers that parse but break an invariant of the params or sequence
     def edited(change):
         meta = json.loads(whole[8:8 + hlen])
@@ -504,6 +510,5 @@ def test_run_validates_inputs(params, clean_params):
         for chunk_size in (0, -1):
             with pytest.raises(ValueError, match="chunk_size"):
                 run(two_pulse_sequence(), cfg, 10, seed=1, chunk_size=chunk_size)
-    bad = PhysicalParams(t1_radiative=-1.0)
-    with pytest.raises(Exception):
-        run(two_pulse_sequence(), bad, 10, seed=0)
+    with pytest.raises(ValidationError, match="t1_radiative"):
+        run(two_pulse_sequence(), PhysicalParams(t1_radiative=-1.0), 10, seed=0)

@@ -29,15 +29,13 @@ def test_default_spec_straddles_the_spin_splitting():
 
 
 def test_spec_rejects_misordered_detunings():
-    bad = WdmSpec(red_detuning=2.0, blue_detuning=9.55)
-    assert any("red_detuning" in v for v in bad.violations())
-    with pytest.raises(ValidationError):
-        build_wdm_sequence(bad)
+    with pytest.raises(ValidationError, match="red_detuning"):
+        WdmSpec(red_detuning=2.0, blue_detuning=9.55)
 
 
 def test_spec_rejects_non_finite_locked_phase():
-    bad = WdmSpec(locked_phase=float("nan"))
-    assert any("locked_phase" in v for v in bad.violations())
+    with pytest.raises(ValidationError, match="locked_phase"):
+        WdmSpec(locked_phase=float("nan"))
 
 
 def test_sequence_shape_free_running():
