@@ -13,7 +13,7 @@ Unit conventions, used consistently across the package:
 All value types are immutable, and constructing one checks every invariant:
 an invalid value raises ``ValidationError`` listing *all* violations at once,
 by field name, so a bad parameter file produces one complete error message
-instead of a scavenger hunt.  No value type exists in an invalid state.
+instead of a scavenger hunt.
 """
 
 from __future__ import annotations

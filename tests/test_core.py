@@ -171,8 +171,7 @@ def test_invalid_values_cannot_be_constructed(valid, name, bad):
                   lambda: replace(valid, **{name: bad})):
         with pytest.raises(ValidationError) as err:
             build()
-        assert any(name in v.split(":")[0].replace("/", ",").split(",")
-                   for v in err.value.violations), err.value.violations
+        assert any(name in v.split(":")[0] for v in err.value.violations)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
