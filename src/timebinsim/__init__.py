@@ -15,7 +15,7 @@ from .measurement import (FringeScan, HbtResult, MichelsonResult,
 from .montecarlo import EventStream, Origin, run
 from .tomography import (FringeFit, bloch_of_state, direction_fidelity,
                          fidelity, fit_fringe, qubit_phase, reconstruct,
-                         unwrap_phases, write_states_csv)
+                         unwrap_phases)
 from .wdm import RecoveryReport, WdmSpec, build_wdm_sequence, recovery_report
 
 __version__ = "0.1.0"
@@ -35,5 +35,4 @@ __all__ = [
     "run", "sequence_drives", "sequence_for_pgen",
     "spectral_filter",
     "two_pulse_sequence", "unwrap_phases", "visibility_curve",
-    "write_states_csv",
 ]

@@ -28,14 +28,13 @@ from dataclasses import replace
 import numpy as np
 
 from .core import (ConfigError, InsufficientStatisticsError, PARAM_FIELDS,
-                   PhysicalParams, ValidationError, load_params, write_csv)
+                   PhysicalParams, PulseSequence, ValidationError, load_params, write_csv)
 from .dynamics import (expected_visibility, generate_state, sequence_for_pgen,
-                       two_pulse_sequence, visibility_curve,
-                       write_visibility_csv)
+                       two_pulse_sequence, visibility_curve)
 from .measurement import calibrate_background_for_g2, fringe_scan, measure_g2
 from .montecarlo import derived_seed, run
 from .tomography import (bloch_of_state, direction_fidelity, fit_fringe,
-                         qubit_phase, reconstruct, write_states_csv)
+                         qubit_phase, reconstruct)
 from .wdm import WdmSpec, recovery_report
 
 
@@ -108,10 +107,9 @@ def _parse_floats(text: str) -> list[float]:
         raise ConfigError(f"expected a comma-separated list of numbers: {text!r}") from None
 
 
-def _measure_visibility(p_gen: float, phase2: float, params: PhysicalParams,
+def _measure_visibility(seq: PulseSequence, params: PhysicalParams,
                         n_trajectories: int, scan_points: int, seed: int):
-    """One fringe scan plus fit at a drive/phase setpoint."""
-    seq = sequence_for_pgen(p_gen, phase2=phase2)
+    """One fringe scan of a drive sequence plus its fit."""
     scan = fringe_scan(seq, np.linspace(0.0, 2.0 * np.pi, scan_points, endpoint=False),
                        params=params, n_trajectories=n_trajectories, seed=seed)
     return scan, fit_fringe(scan)
@@ -121,18 +119,17 @@ def _measure_visibility(p_gen: float, phase2: float, params: PhysicalParams,
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_visibility_sweep(args, out: _OutDir) -> int:
-    params = _resolve_params(args)
-
+def cmd_visibility_sweep(args, params: PhysicalParams, out: _OutDir) -> int:
     grid = np.linspace(args.p_min, args.p_max, args.points)
     t1_list = _parse_floats(args.t1)
     rows = visibility_curve(grid, t1_list, params)
-    out.write("visibility_curve.csv", lambda p: write_visibility_csv(rows, p))
+    out.write("visibility_curve.csv", lambda p: write_csv(
+        p, "p_gen,t1_ps,visibility", rows))
 
     mc_rows = []
     for k, p_gen in enumerate(np.linspace(max(args.p_min, 0.1), args.p_max,
                                           args.mc_points)):
-        _, fit = _measure_visibility(float(p_gen), 0.0, params,
+        _, fit = _measure_visibility(sequence_for_pgen(float(p_gen)), params,
                                      args.trajectories, args.scan_points,
                                      derived_seed(args.seed, k))
         mc_rows.append((float(p_gen), fit.visibility, fit.visibility_err,
@@ -150,23 +147,22 @@ def cmd_visibility_sweep(args, out: _OutDir) -> int:
     return 0
 
 
-def cmd_phase_qubits(args, out: _OutDir) -> int:
-    params = _resolve_params(args)
+def cmd_phase_qubits(args, params: PhysicalParams, out: _OutDir) -> int:
     programmed = (_parse_floats(args.phases) if args.phases is not None
                   else list(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)))
     if not programmed:
         raise ConfigError(f"--phases {args.phases!r}: no phases given")
 
     ref_scan, reference = _measure_visibility(
-        args.p_gen, 0.0, params, args.trajectories, args.scan_points,
-        derived_seed(args.seed, 0))
+        sequence_for_pgen(args.p_gen), params, args.trajectories,
+        args.scan_points, derived_seed(args.seed, 0))
     out.write("fringe_reference.csv", ref_scan.to_csv)
 
     fit_rows, state_rows = [], []
     for k, delta in enumerate(programmed, start=1):
-        scan, fit = _measure_visibility(
-            args.p_gen, delta, params, args.trajectories, args.scan_points,
-            derived_seed(args.seed, k))
+        seq = sequence_for_pgen(args.p_gen, phase2=delta)
+        scan, fit = _measure_visibility(seq, params, args.trajectories,
+                                        args.scan_points, derived_seed(args.seed, k))
         out.write(f"fringe_{k:02d}.csv", scan.to_csv)
         if not (reference.phase_defined and fit.phase_defined):
             raise InsufficientStatisticsError(
@@ -183,14 +179,14 @@ def cmd_phase_qubits(args, out: _OutDir) -> int:
                 f"setpoint {k}: the fringe scan saw no side-peak photons")
         vec = reconstruct(early / (early + late), late / (early + late),
                           fit.visibility, recovered)
-        seq = sequence_for_pgen(args.p_gen, phase2=delta)
         target = bloch_of_state(generate_state(seq, params))
-        state_rows.append((vec, direction_fidelity(vec, target),
+        state_rows.append((vec.x, vec.y, vec.z, direction_fidelity(vec, target),
                            fit.visibility, recovered))
 
     out.write("fits.csv", lambda p: write_csv(
         p, "programmed_rad,recovered_rad,visibility,visibility_err", fit_rows))
-    out.write("bloch.csv", lambda p: write_states_csv(state_rows, p))
+    out.write("bloch.csv", lambda p: write_csv(
+        p, "x,y,z,fidelity,visibility,phase_rad", state_rows))
     out.sidecar("phase-qubits", params, args.seed,
                 {"p_gen": args.p_gen, "trajectories": args.trajectories,
                  "scan_points": args.scan_points, "phases": programmed})
@@ -200,8 +196,7 @@ def cmd_phase_qubits(args, out: _OutDir) -> int:
     return 0
 
 
-def cmd_wdm(args, out: _OutDir) -> int:
-    params = _resolve_params(args)
+def cmd_wdm(args, params: PhysicalParams, out: _OutDir) -> int:
     spec = WdmSpec.for_splitting(params.spin_splitting,
                                  locked_phase=args.locked_phase)
     report = recovery_report(spec, params, n_trajectories=args.trajectories,
@@ -220,8 +215,7 @@ def cmd_wdm(args, out: _OutDir) -> int:
     return 0
 
 
-def cmd_g2(args, out: _OutDir) -> int:
-    params = _resolve_params(args)
+def cmd_g2(args, params: PhysicalParams, out: _OutDir) -> int:
     seq = two_pulse_sequence(scale=args.scale)
     calibrated = None
     if args.calibrate_g2 is not None:
@@ -245,8 +239,7 @@ def cmd_g2(args, out: _OutDir) -> int:
     return 0
 
 
-def cmd_simulate(args, out: _OutDir) -> int:
-    params = _resolve_params(args)
+def cmd_simulate(args, params: PhysicalParams, out: _OutDir) -> int:
     seq = sequence_for_pgen(args.p_gen, phase2=args.phase2)
     stream = run(seq, params, args.trajectories, args.seed)
     if args.binary:
@@ -301,9 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name: str, help_text: str):
-        p = sub.add_parser(name, help=help_text, epilog=_param_table(),
-                           formatter_class=argparse.RawDescriptionHelpFormatter)
-        return p
+        return sub.add_parser(name, help=help_text, epilog=_param_table(),
+                              formatter_class=argparse.RawDescriptionHelpFormatter)
 
     def add_common(p, trajectories: int):
         p.add_argument("--config", help="physical-parameter file (name = value lines)")
@@ -352,11 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("g2", "pulsed intensity-correlation histogram")
     add_common(p, trajectories=200_000)
-    p.add_argument("--background", type=float, default=None,
-                   help="override the background rate per window")
-    p.add_argument("--calibrate-g2", type=_OPEN_UNIT_INTERVAL, default=None,
-                   metavar="TARGET",
-                   help="first set the background rate that gives this g2(0)")
+    rate = p.add_mutually_exclusive_group()  # each sets the background rate
+    rate.add_argument("--background", type=float, default=None,
+                      help="override the background rate per window")
+    rate.add_argument("--calibrate-g2", type=_OPEN_UNIT_INTERVAL, default=None,
+                      metavar="TARGET",
+                      help="first set the background rate that gives this g2(0)")
     p.add_argument("--scale", type=float, default=1.0,
                    help="drive intensity scale (1.0 = pi/2 + pi)")
     p.add_argument("--window", type=_COUNT, default=5,
@@ -387,7 +380,7 @@ def main(argv=None) -> int:
     out = None
     try:
         out = _OutDir(args.out)
-        return args.func(args, out)
+        return args.func(args, _resolve_params(args), out)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar, Iterable
@@ -69,6 +70,11 @@ class _Checked:
         if violations := self.violations():
             raise ValidationError(violations)
 
+    def _not_numbers(self, names) -> list[str]:
+        """A violation for each field in ``names`` that is not a real number."""
+        return [f"{n}: must be a number" for n in names
+                if not isinstance(getattr(self, n), numbers.Real)]
+
 
 def _param(default: float, unit: str, doc: str):
     return field(default=default, metadata={"unit": unit, "doc": doc})
@@ -114,6 +120,8 @@ class PhysicalParams(_Checked):
         return n_bins * self.bin_separation_ps
 
     def violations(self) -> list[str]:
+        if v := self._not_numbers([f.name for f in fields(self)]):
+            return v
         v = [f"{f.name}: must be finite" for f in fields(self)
              if not math.isfinite(getattr(self, f.name))]
         # Scales up to 1e100 keep every drawn time, phase and energy finite.
@@ -168,7 +176,8 @@ class ResonantPulse(_Checked):
     detuning: float = 0.0
 
     def violations(self) -> list[str]:
-        v = []
+        if v := self._not_numbers(("intensity", "phase", "detuning")):
+            return v
         if not 0.0 <= self.intensity < math.inf:
             v.append("intensity: must be finite and >= 0")
         if not math.isfinite(self.phase):
@@ -221,6 +230,8 @@ class PulseSequence(_Checked):
     def violations(self) -> list[str]:
         if len(self.pulses) != 2:
             return [f"pulses: need two pulses (early, late), got {len(self.pulses)}"]
+        if not all(isinstance(p, ResonantPulse) for p in self.pulses):
+            return ["pulses: each must be a ResonantPulse"]
         return []
 
     def to_dict(self) -> dict:
@@ -260,8 +271,8 @@ class TimeBinState(_Checked):
         if self.p_early + self.p_late > 1.0 + PURITY_TOL:
             v.append("p_early+p_late: total occupation exceeds 1")
         if self.p_early >= 0 and self.p_late >= 0 \
-                and abs(self.coherence) > purity_bound(self) + PURITY_TOL:
-            v.append("coherence: |coherence| exceeds sqrt(p_early*p_late)")
+                and not abs(self.coherence) <= purity_bound(self) + PURITY_TOL:
+            v.append("coherence: |coherence| must be finite and <= sqrt(p_early*p_late)")
         return v
 
     @property
@@ -290,8 +301,8 @@ class BlochVector(_Checked):
 
     def violations(self) -> list[str]:
         v = []
-        if self.norm > 1.0 + EPS_FIT:
-            v.append("x,y,z: norm exceeds 1 beyond the fit tolerance")
+        if not self.norm <= 1.0 + EPS_FIT:
+            v.append("x,y,z: norm must be finite and <= 1 within the fit tolerance")
         return v
 
 
@@ -306,7 +317,6 @@ def purity_bound(state: TimeBinState) -> float:
 
 def parse_params_text(text: str) -> PhysicalParams:
     values: dict[str, float] = {}
-    unknown: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -316,18 +326,13 @@ def parse_params_text(text: str) -> PhysicalParams:
         name, _, val = line.partition("=")
         name = name.strip()
         val = val.strip()
-        if name not in PARAM_FIELDS:
-            unknown.append(name)
-            continue
         if name in values:
             raise ConfigError(f"line {lineno}: duplicate key {name!r}")
         try:
             values[name] = float(val)
         except ValueError:
             raise ConfigError(f"line {lineno}: value for {name!r} is not a number: {val!r}")
-    if unknown:
-        raise ConfigError(f"unknown parameter keys: {', '.join(sorted(unknown))}")
-    return PhysicalParams(**values)
+    return PhysicalParams.from_dict(values)
 
 
 def load_params(path: str | Path) -> PhysicalParams:

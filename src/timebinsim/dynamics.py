@@ -25,17 +25,12 @@ two agree when both pulses have the same intensity.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    PhysicalParams,
-    PulseSequence,
-    ResonantPulse,
-    TimeBinState,
-    write_csv,
-)
+from .core import PhysicalParams, PulseSequence, ResonantPulse, TimeBinState
 
 # Intensity calibration: a pulse of intensity I has area (pi/2) sqrt(I).
 _HALF_PI = math.pi / 2
@@ -134,11 +129,7 @@ def visibility_curve(p_gen_grid, t1_list, params: PhysicalParams) -> list[tuple[
     """Rows of (p_gen, t1_ps, visibility) over a grid of generation probabilities."""
     rows = []
     for t1 in t1_list:
-        p = PhysicalParams(**{**params.to_dict(), "t1_radiative": float(t1)})
+        p = replace(params, t1_radiative=float(t1))
         for pg in np.asarray(p_gen_grid, dtype=float):
             rows.append((float(pg), float(t1), expected_visibility(float(pg), p)))
     return rows
-
-
-def write_visibility_csv(rows, path) -> None:
-    write_csv(path, "p_gen,t1_ps,visibility", rows)

@@ -42,8 +42,7 @@ from scipy.special import erfcx, ndtr
 from .core import (InsufficientStatisticsError, PhysicalParams, PulseSequence,
                    TimeBinState, ValidationError, write_csv)
 from .dynamics import generate_state, sequence_drives
-from .montecarlo import (CODE_BY_ORIGIN, EventStream, Origin, _keyed_rng,
-                         derived_seed, run)
+from .montecarlo import EventStream, Origin, _keyed_rng, derived_seed, run
 
 _TAG_MICHELSON = 0x4D49
 _TAG_FILTER = 0x464C
@@ -111,7 +110,7 @@ def _routing_inputs(stream: EventStream) -> tuple[np.ndarray, ...]:
     drives = sequence_drives(stream.sequence, stream.params)
     cfrac = np.array([d.coherent_fraction for d in drives])
     early_phase, late_phase = (p.phase for p in stream.sequence.pulses)
-    coherent = cols["origin"] == CODE_BY_ORIGIN[Origin.COHERENT_RAMAN]
+    coherent = stream.origin_mask(Origin.COHERENT_RAMAN)
     weight = np.where(coherent, cfrac.min() / cfrac[late.astype(np.intp)], 0.0)
     dphi = np.where(late, early_phase - phases, phases - late_phase)
     dphi[~coherent] = 0.0  # NaN included: an unlocked phase carries no fringe
@@ -288,7 +287,7 @@ def filter_transmission(energy_uev, center_uev: float, fwhm_uev: float,
 
 
 def _filter_keep(seed: int, energy_uev: np.ndarray, center_uev: float,
-                 fwhm_uev: float, extinction: float, salt: int) -> np.ndarray:
+                 fwhm_uev: float, extinction: float) -> np.ndarray:
     """Which events of a stream with master ``seed`` and these energies the
     filter transmits: one Bernoulli draw per event, in stream order."""
     if fwhm_uev <= 0:
@@ -296,15 +295,16 @@ def _filter_keep(seed: int, energy_uev: np.ndarray, center_uev: float,
     if not 0 <= extinction <= 1:
         raise ValueError("extinction must lie in [0, 1]")
     trans = filter_transmission(energy_uev, center_uev, fwhm_uev, extinction)
-    rng = _keyed_rng(seed, _TAG_FILTER, _bits(center_uev), _bits(fwhm_uev), salt)
+    # Keep the final 0: past SeedSequence's four-word pool, dropping it moves the draws.
+    rng = _keyed_rng(seed, _TAG_FILTER, _bits(center_uev), _bits(fwhm_uev), 0)
     return rng.random(len(energy_uev)) < trans
 
 
 def spectral_filter(stream: EventStream, center_uev: float, fwhm_uev: float, *,
-                    extinction: float = 1e-3, salt: int = 0) -> EventStream:
+                    extinction: float = 1e-3) -> EventStream:
     """Bernoulli-transmit each event through the passband filter."""
     return stream.subset(_filter_keep(stream.seed, stream.columns["energy_uev"],
-                                      center_uev, fwhm_uev, extinction, salt))
+                                      center_uev, fwhm_uev, extinction))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import enum
 import json
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -97,17 +97,14 @@ class EventStream:
     sequence: PulseSequence
     seed: int
     n_trajectories: int
-    columns: dict[str, np.ndarray] = field(default_factory=dict)
+    columns: dict[str, np.ndarray]
 
     def __len__(self) -> int:
-        return len(self.columns["trajectory_id"]) if self.columns else 0
+        return len(self.columns["trajectory_id"])
 
     def subset(self, mask: np.ndarray) -> "EventStream":
         rows = np.flatnonzero(mask)  # one gather per column beats a mask per column
-        cols = {k: v.take(rows) for k, v in self.columns.items()}
-        return EventStream(params=self.params, sequence=self.sequence,
-                           seed=self.seed, n_trajectories=self.n_trajectories,
-                           columns=cols)
+        return replace(self, columns={k: v.take(rows) for k, v in self.columns.items()})
 
     def _sort(self) -> np.ndarray:
         """Put the events in stream order; returns the permutation applied
@@ -217,15 +214,16 @@ class EventStream:
         return cls(columns=cols, **provenance)
 
 
-# Key of the photon stream next to the master seed: nonzero, or it would
-# draw the window stream itself (see _keyed_rng).
+# Key of the photon stream next to the master seed: nonzero, or (seed, key),
+# at most three words, would draw the window stream itself (see _keyed_rng).
 _PHOTONS = 0x5048
 
 
 def _keyed_rng(*entropy: int) -> Generator:
     """The Philox generator keyed on integer ``entropy``: every random stream
-    of the package, read front to back.  A key ending in 0 draws the same
-    stream as the key without that 0."""
+    of the package, read front to back.  A key ending in 0 draws the stream
+    of the key without that 0 only while it fills at most four 32-bit words,
+    SeedSequence's zero-padded pool; a 0 past the pool moves the draws."""
     return Generator(Philox(seed=SeedSequence([int(e) for e in entropy])))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlochVector, TimeBinState, write_csv
+from .core import BlochVector, TimeBinState
 from .measurement import FringeScan
 
 
@@ -29,7 +29,6 @@ class FringeFit:
     visibility_err: float
     phase_err: float
     phase_defined: bool
-    n_points: int
 
 
 def _wrap(phi: float) -> float:
@@ -67,8 +66,7 @@ def fit_fringe(phases, counts=None) -> FringeFit:
     if np.ptp(counts) == 0:
         return FringeFit(amplitude=amp0, visibility=0.0, phase=0.0,
                          amplitude_err=0.0, visibility_err=0.0,
-                         phase_err=float("nan"), phase_defined=False,
-                         n_points=phases.size)
+                         phase_err=float("nan"), phase_defined=False)
 
     design = np.stack([np.ones_like(phases), np.cos(phases), np.sin(phases)], axis=1)
     weights = 1.0 / np.maximum(counts, 1.0)
@@ -92,7 +90,7 @@ def fit_fringe(phases, counts=None) -> FringeFit:
     return FringeFit(amplitude=amp, visibility=vis, phase=ph,
                      amplitude_err=float(errs[0]), visibility_err=float(errs[1]),
                      phase_err=float(errs[2]) if defined else float("nan"),
-                     phase_defined=defined, n_points=phases.size)
+                     phase_defined=defined)
 
 
 def qubit_phase(reference: FringeFit, modulated: FringeFit) -> float:
@@ -155,13 +153,3 @@ def direction_fidelity(measured: BlochVector, target: BlochVector) -> float:
     lengths.  Useful when depolarisation is understood and only the qubit's
     orientation is under test."""
     return fidelity(measured.normalized(), target.normalized())
-
-
-def write_states_csv(rows, path) -> None:
-    """Per-setpoint reconstruction table.
-
-    Each row is ``(bloch_vector, fidelity, visibility, phase_rad)``; the
-    emitted columns are ``x,y,z,fidelity,visibility,phase_rad``.
-    """
-    flat = [(v.x, v.y, v.z, fid, vis, ph) for v, fid, vis, ph in rows]
-    write_csv(path, "x,y,z,fidelity,visibility,phase_rad", flat)

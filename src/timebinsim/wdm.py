@@ -94,7 +94,6 @@ class RecoveryRow:
 
 @dataclass
 class RecoveryReport:
-    spec: WdmSpec
     rows: list[RecoveryRow]
     n_trajectories: int
     seed: int
@@ -137,12 +136,11 @@ def recovery_report(spec: WdmSpec | None = None,
         if center is None:
             keep = np.ones(len(bins), bool)
         else:
-            keep = _filter_keep(stream.seed, energy, center, fwhm_uev, extinction, 0)
+            keep = _filter_keep(stream.seed, energy, center, fwhm_uev, extinction)
         if not keep.any():
             raise InsufficientStatisticsError(
                 f"filter {label!r} transmitted no events")
         rows.append(RecoveryRow(label=label, early=int(np.count_nonzero(keep & early)),
                                 late=int(np.count_nonzero(keep & late)), total=len(bins)))
-    return RecoveryReport(spec=spec, rows=rows,
-                          n_trajectories=stream.n_trajectories,
+    return RecoveryReport(rows=rows, n_trajectories=stream.n_trajectories,
                           seed=stream.seed)

@@ -340,6 +340,15 @@ def test_g2_with_calibration(tmp_path, capsys):
     assert "calibrated background rate" in capsys.readouterr().out
 
 
+def test_g2_background_and_calibration_are_exclusive(tmp_path, capsys):
+    # each sets the background rate, so the pair is a usage error
+    out = tmp_path / "o"
+    assert main(["g2", "--trajectories", "3000", "--background", "0.1",
+                 "--calibrate-g2", "0.05", "--out", str(out)]) == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_g2_calibration_uses_the_histogram_window(tmp_path, capsys, monkeypatch):
     seen = {}
 

@@ -164,7 +164,13 @@ def test_bloch_vector_geometry():
     (TimeBinState(p_early=0.5, p_late=0.5), "coherence", 0.6),
     (BlochVector(1.0, 0.0, 0.0), "x", 1.1),
     (WdmSpec(), "locked_phase", math.nan),
-], ids=["params", "t1", "pulse", "sequence", "state", "bloch", "wdm"])
+    (PhysicalParams(), "p_hole_init", "0.5"),
+    (ResonantPulse(intensity=1.0), "intensity", "1"),
+    (PulseSequence(pulses=(_pulse(), _pulse())), "pulses", (1, 2)),
+    (TimeBinState(p_early=0.5, p_late=0.5), "coherence", math.nan),
+    (BlochVector(1.0, 0.0, 0.0), "x", math.nan),
+], ids=["params", "t1", "pulse", "sequence", "state", "bloch", "wdm", "params-str",
+        "pulse-str", "sequence-ints", "state-nan", "bloch-nan"])
 def test_invalid_values_cannot_be_constructed(valid, name, bad):
     kwargs = {f.name: getattr(valid, f.name) for f in fields(valid)}
     for build in (lambda: type(valid)(**{**kwargs, name: bad}),

@@ -9,7 +9,6 @@ from timebinsim import (PhysicalParams, PulseSequence, ResonantPulse,
                         ValidationError, expected_visibility, generate_state,
                         sequence_drives, sequence_for_pgen, two_pulse_sequence,
                         visibility_curve)
-from timebinsim.dynamics import write_visibility_csv
 
 import oracle_mpmath
 from oracle_values import (C_HALF_PI, C_PI, DEPHASING, EXPECTED_VISIBILITY,
@@ -158,15 +157,9 @@ def test_expected_visibility_monotone_decreasing(p1, p2):
     assert expected_visibility(lo, params) >= expected_visibility(hi, params)
 
 
-def test_visibility_curve_orders_rows_by_lifetime(params, tmp_path):
+def test_visibility_curve_orders_rows_by_lifetime(params):
     rows = visibility_curve([0.2, 0.8], [100.0, 250.0], params)
     assert [(r[0], r[1]) for r in rows] == [
         (0.2, 100.0), (0.8, 100.0), (0.2, 250.0), (0.8, 250.0)]
     # longer T1 -> slower emitter -> less coherent under the same drive
     assert rows[0][2] > rows[2][2]
-
-    out = tmp_path / "curve.csv"
-    write_visibility_csv(rows, out)
-    header, *lines = out.read_text().splitlines()
-    assert header == "p_gen,t1_ps,visibility"
-    assert len(lines) == 4

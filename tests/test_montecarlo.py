@@ -15,7 +15,8 @@ from scipy.special import ndtri
 
 from timebinsim import (EventStream, LaserId, Origin, PhysicalParams,
                         PulseSequence, ResonantPulse, ValidationError,
-                        generate_state, montecarlo, run, two_pulse_sequence)
+                        filter_transmission, generate_state, measurement,
+                        montecarlo, run, two_pulse_sequence)
 from timebinsim.core import format_float
 from timebinsim.dynamics import sequence_drives
 from timebinsim.montecarlo import (CODE_BY_ORIGIN, ORIGIN_BY_CODE,
@@ -141,9 +142,22 @@ def test_run_streams_never_alias(params, monkeypatch):
     assert len(keys) == 4 and all(k[0] == seed for k in keys)
     first = {_philox(*k).random() for k in keys}
     assert len(first) == 4
-    # SeedSequence pads its entropy with zero words, so a key that ends in
-    # 0 would draw the stream of the key without it
-    assert _philox(seed, 0).random() == _philox(seed).random()
+
+
+def test_a_final_zero_counts_only_past_four_words():
+    keyed = montecarlo._keyed_rng
+    # SeedSequence pads its pool of four 32-bit words with zeros: a photon key
+    # of 0 would draw the window stream, even under the largest master seed
+    assert keyed(7, 2, 3, 0).random() == keyed(7, 2, 3).random()
+    assert keyed(2 ** 64 - 1, 0).random() == keyed(2 ** 64 - 1).random()
+    # and mixes in every word past it
+    assert keyed(7, 2, 3, 4, 0).random() != keyed(7, 2, 3, 4).random()
+    key = (7, measurement._TAG_FILTER, measurement._bits(-9.55), measurement._bits(5.0))
+    assert keyed(*key, 0).random() != keyed(*key).random()
+    # the filter draws from its key with the final 0
+    energy = np.linspace(-20.0, 20.0, 1000)
+    expected = keyed(*key, 0).random(1000) < filter_transmission(energy, -9.55, 5.0, 0.0)
+    assert np.array_equal(measurement._filter_keep(7, energy, -9.55, 5.0, 0.0), expected)
 
 
 @st.composite

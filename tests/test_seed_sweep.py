@@ -2,9 +2,11 @@
 
 import importlib.util
 import json
+import math
 import os
 
 import pytest
+from scipy import stats
 
 _SPEC = importlib.util.spec_from_file_location(
     "seed_sweep", os.path.join(os.path.dirname(__file__), os.pardir, "tools",
@@ -40,9 +42,32 @@ def test_summary_counts_each_statistic_over_the_seeds(records):
         failures = sum(not seed_sweep.BOUNDS[key][1](v) for v in values)
         assert (s["n"], s["failures"]) == (len(values), failures)
         assert s["failure_rate"] == (failures / len(values) if values else None)
+        assert s["failure_rate_upper_95"] == seed_sweep.upper_bound(failures, len(values))
     for check, c in summary["checks"].items():
         failed = [r["seed"] for r in records if r["check"] == check and r["failure"]]
         assert c["ops"] == 2 and [f["seed"] for f in c["failed"]] == failed
+        assert c["failure_rate"] == len(failed) / 2
+        assert c["failure_rate_upper_95"] == seed_sweep.upper_bound(len(failed), 2)
+    suite = summary["suite"]
+    assert suite["checks"] == list(summary["checks"])
+    for key in ("failure_rate", "failure_rate_upper_95"):
+        passing = math.prod(1.0 - c[key] for c in summary["checks"].values())
+        assert suite[key] == pytest.approx(1.0 - passing, abs=1e-15)
+
+
+@pytest.mark.parametrize("failures,n", [(0, 300), (1, 300), (7, 300), (1, 2), (0, 1)])
+def test_upper_bound_is_the_one_sided_clopper_pearson_bound(failures, n):
+    bound = seed_sweep.upper_bound(failures, n)
+    assert bound == pytest.approx(stats.beta.ppf(0.95, failures + 1, n - failures),
+                                  rel=1e-10)
+    # the rate at which this many failures or fewer has probability 5%
+    assert stats.binom.cdf(failures, n, bound) == pytest.approx(0.05, rel=1e-8)
+
+
+def test_upper_bound_edges():
+    assert seed_sweep.upper_bound(0, 300) == pytest.approx(1 - 0.05 ** (1 / 300))
+    assert seed_sweep.upper_bound(3, 3) == 1.0
+    assert seed_sweep.upper_bound(0, 0) is None
 
 
 def test_the_command_writes_the_summary(tmp_path):
@@ -51,3 +76,4 @@ def test_the_command_writes_the_summary(tmp_path):
     summary = json.loads(out.read_text())
     assert (summary["seeds"], summary["scale"]) == ("5-5", 0.01)
     assert all(s["n"] <= 1 for s in summary["statistics"].values())
+    assert 0.0 <= summary["suite"]["failure_rate"] <= 1.0

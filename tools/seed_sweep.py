@@ -24,8 +24,12 @@ bounded at 3 sigma as there.  ``event_io``'s check is an exact round trip
 with no statistic, so it is not swept.
 
 The JSON file holds each statistic's bound, n, mean, sd (ddof 1), min, max,
-failures and failure rate, and each workload's ops and the failed ones as
-``{"seed", "message"}``.  ``--scale`` shrinks every size, as it does for
+failures and failure rate, and each check's ops, failure rate and the
+failed ops as ``{"seed", "message"}``.  Every failure rate comes with its
+one-sided 95% Clopper-Pearson upper bound (0 failures in 300 give 0.99%).
+The ``suite`` line combines the checks as 1 - prod(1 - r_i), once from
+their rates and once from their bounds; the latter is an upper estimate,
+not itself a 95% bound.  ``--scale`` shrinks every size, as it does for
 the workloads; a recorded sweep runs at 1.  A change that moves bytes runs
 the sweep on the parent and on the change: a failure rate within the
 binomial spread of the parent's is chance, not a defect.
@@ -42,6 +46,7 @@ import tempfile
 
 import numpy as np
 import scipy
+from scipy.special import betaincinv
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "perfbench"))
@@ -135,6 +140,18 @@ def sweep(seeds, scale: float = 1.0) -> list[dict]:
     return records
 
 
+def upper_bound(failures: int, n: int) -> float | None:
+    """One-sided 95% Clopper-Pearson upper bound of a failure rate."""
+    if n == 0:
+        return None
+    return 1.0 if failures == n else float(betaincinv(failures + 1, n - failures, 0.95))
+
+
+def _rates(failures: int, n: int) -> dict:
+    return {"failure_rate": failures / n if n else None,
+            "failure_rate_upper_95": upper_bound(failures, n)}
+
+
 def summarise(records: list[dict], scale: float) -> dict:
     statistics = {}
     for key, (bound, passes) in BOUNDS.items():
@@ -148,18 +165,21 @@ def summarise(records: list[dict], scale: float) -> dict:
             "sd": float(x.std(ddof=1)) if x.size > 1 else None,
             "min": float(x.min()) if x.size else None,
             "max": float(x.max()) if x.size else None,
-            "failures": failures,
-            "failure_rate": failures / x.size if x.size else None}
+            "failures": failures, **_rates(failures, int(x.size))}
     checks = {}
     for check in [*READERS, "criterion_6"]:
         ops = [r for r in records if r["check"] == check]
-        checks[check] = {"ops": len(ops),
-                         "failed": [{"seed": r["seed"], "message": r["failure"]}
-                                    for r in ops if r["failure"]]}
+        failed = [{"seed": r["seed"], "message": r["failure"]} for r in ops if r["failure"]]
+        checks[check] = {"ops": len(ops), **_rates(len(failed), len(ops)), "failed": failed}
+    suite = {"checks": list(checks)}
+    for key in ("failure_rate", "failure_rate_upper_95"):
+        rates = [c[key] for c in checks.values()]
+        suite[key] = (None if None in rates
+                      else 1.0 - math.prod(1.0 - r for r in rates))
     seeds = sorted({r["seed"] for r in records})
     return {"seeds": f"{seeds[0]}-{seeds[-1]}", "n_seeds": len(seeds), "scale": scale,
             "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
-            "statistics": statistics, "checks": checks}
+            "statistics": statistics, "checks": checks, "suite": suite}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -176,6 +196,9 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n")
     for key, s in summary["statistics"].items():
         print(f"{key}: n {s['n']}, {s['failures']} failed ({s['bound']})")
+    suite = summary["suite"]
+    print(f"suite: failure rate {suite['failure_rate']}, "
+          f"{suite['failure_rate_upper_95']} from the 95% upper bounds")
     return 0
 
 
