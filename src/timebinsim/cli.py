@@ -2,10 +2,10 @@
 
 Each subcommand runs one named experiment and writes its artifacts into the
 directory given by ``--out``: CSV data files plus a ``<command>.meta.json``
-sidecar recording the resolved physical parameters and seed, so any result
-can be regenerated bit-for-bit.  A run's files appear in ``--out`` only
-once all of them and the sidecar are written, so a failed run leaves no
-partial output behind.
+sidecar recording the resolved physical parameters, the seed and every other
+flag as parsed, so any result can be regenerated bit-for-bit.  A run's files
+appear in ``--out`` only once all of them and the sidecar are written, so a
+failed run leaves no partial output behind.
 
 Exit codes: 0 success, 2 configuration or validation problem, 3 a
 statistics-dependent result could not be computed from the events; a run
@@ -23,7 +23,7 @@ import signal
 import sys
 import tempfile
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -36,6 +36,12 @@ from .montecarlo import derived_seed, run
 from .tomography import (bloch_of_state, direction_fidelity, fit_fringe,
                          qubit_phase, reconstruct)
 from .wdm import WdmSpec, recovery_report
+
+
+# Parsed arguments that are not recorded as the sidecar's ``options``: the
+# subcommand and its handler, where the files go, and what ``params`` and
+# ``seed`` already record.
+_NOT_OPTIONS = {"command", "func", "out", "config", "param", "seed"}
 
 
 class _OutDir:
@@ -64,11 +70,11 @@ class _OutDir:
         writer(os.path.join(self.staging, name))
         self.written.append(name)
 
-    def sidecar(self, command: str, params: PhysicalParams, seed: int | None,
-                options: dict) -> None:
-        meta = {"command": command, "params": params.to_dict(), "seed": seed,
+    def sidecar(self, args, params: PhysicalParams) -> None:
+        options = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
+        meta = {"command": args.command, "params": asdict(params), "seed": args.seed,
                 "options": options, "files": sorted(self.written)}
-        name = f"{command}.meta.json"
+        name = f"{args.command}.meta.json"
         with open(os.path.join(self.staging, name), "w") as fh:
             fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
         os.makedirs(self.root, exist_ok=True)
@@ -96,7 +102,7 @@ def _resolve_params(args) -> PhysicalParams:
         except ValueError:
             raise ConfigError(f"--param {name.strip()}: not a number: {value!r}") from None
     if overrides:
-        params = PhysicalParams.from_dict({**params.to_dict(), **overrides})
+        params = PhysicalParams.from_dict({**asdict(params), **overrides})
     return params
 
 
@@ -137,11 +143,7 @@ def cmd_visibility_sweep(args, params: PhysicalParams, out: _OutDir) -> int:
     out.write("visibility_mc.csv", lambda p: write_csv(
         p, "p_gen,visibility,visibility_err,expected", mc_rows))
 
-    out.sidecar("visibility-sweep", params, args.seed,
-                {"p_min": args.p_min, "p_max": args.p_max, "points": args.points,
-                 "t1_ps": t1_list, "mc_points": args.mc_points,
-                 "trajectories": args.trajectories,
-                 "scan_points": args.scan_points})
+    out.sidecar(args, params)
     print(f"wrote analytic curve ({len(rows)} rows) and {len(mc_rows)} "
           f"Monte-Carlo points to {args.out}")
     return 0
@@ -187,9 +189,7 @@ def cmd_phase_qubits(args, params: PhysicalParams, out: _OutDir) -> int:
         p, "programmed_rad,recovered_rad,visibility,visibility_err", fit_rows))
     out.write("bloch.csv", lambda p: write_csv(
         p, "x,y,z,fidelity,visibility,phase_rad", state_rows))
-    out.sidecar("phase-qubits", params, args.seed,
-                {"p_gen": args.p_gen, "trajectories": args.trajectories,
-                 "scan_points": args.scan_points, "phases": programmed})
+    out.sidecar(args, params)
     expected = expected_visibility(args.p_gen, params)
     print(f"wrote {len(programmed)} setpoints to {args.out} "
           f"(expected visibility {expected:.4f})")
@@ -203,12 +203,7 @@ def cmd_wdm(args, params: PhysicalParams, out: _OutDir) -> int:
                              seed=args.seed, fwhm_uev=args.fwhm,
                              extinction=args.extinction)
     out.write("recovery.csv", report.to_csv)
-    out.sidecar("wdm", params, args.seed,
-                {"trajectories": args.trajectories, "fwhm_uev": args.fwhm,
-                 "extinction": args.extinction,
-                 "locked_phase": args.locked_phase,
-                 "red_detuning": spec.red_detuning,
-                 "blue_detuning": spec.blue_detuning})
+    out.sidecar(args, params)
     for row in report.rows:
         print(f"{row.label:>5}: early {row.early_frac:.4f}  "
               f"late {row.late_frac:.4f}  ({row.transmitted} events)")
@@ -217,23 +212,19 @@ def cmd_wdm(args, params: PhysicalParams, out: _OutDir) -> int:
 
 def cmd_g2(args, params: PhysicalParams, out: _OutDir) -> int:
     seq = two_pulse_sequence(scale=args.scale)
-    calibrated = None
     if args.calibrate_g2 is not None:
-        calibrated = calibrate_background_for_g2(
+        params = replace(params, background_rate=calibrate_background_for_g2(
             seq, params, args.calibrate_g2, n_trajectories=args.trajectories,
-            seed=derived_seed(args.seed, 1), window=args.window)
-        params = replace(params, background_rate=calibrated)
+            seed=derived_seed(args.seed, 1), window=args.window))
     elif args.background is not None:
         params = replace(params, background_rate=args.background)
     result = measure_g2(seq, params, args.trajectories, args.seed,
                         window=args.window)
     out.write("g2.csv", result.to_csv)
-    out.sidecar("g2", params, args.seed,
-                {"trajectories": args.trajectories, "window": args.window,
-                 "scale": args.scale, "calibrated_background": calibrated})
+    out.sidecar(args, params)
     mid = len(result.g2) // 2
-    if calibrated is not None:
-        print(f"calibrated background rate: {calibrated:.6f} per window")
+    if args.calibrate_g2 is not None:
+        print(f"calibrated background rate: {params.background_rate:.6f} per window")
     print(f"g2(0) = {result.zero_lag:.4f} +- {result.se[mid]:.4f} "
           f"({int(result.coincidences[mid])} zero-lag coincidences)")
     return 0
@@ -246,9 +237,7 @@ def cmd_simulate(args, params: PhysicalParams, out: _OutDir) -> int:
         out.write("events.bin", stream.to_binary)
     else:
         out.write("events.csv", stream.to_csv)
-    out.sidecar("simulate", params, args.seed,
-                {"trajectories": args.trajectories, "p_gen": args.p_gen,
-                 "phase2": args.phase2, "binary": bool(args.binary)})
+    out.sidecar(args, params)
     print(f"wrote {len(stream)} events from {args.trajectories} windows to {args.out}")
     return 0
 
@@ -392,10 +381,6 @@ def main(argv=None) -> int:
             out.discard()
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
-
-
-def entry_point() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ Unit conventions, used consistently across the package:
 All value types are immutable, and constructing one checks every invariant:
 an invalid value raises ``ValidationError`` listing *all* violations at once,
 by field name, so a bad parameter file produces one complete error message
-instead of a scavenger hunt.
+instead of a scavenger hunt.  A field whose value does not have its declared
+type (a string for a ``float``, say) is a ``ValidationError`` too, naming
+that field, and then the invariants are not checked.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import ClassVar, Iterable
+from typing import ClassVar
 
 
 class ConfigError(ValueError):
@@ -55,25 +58,34 @@ PURITY_TOL = 1e-12
 EPS_FIT = 1e-6
 
 
-class LaserId(enum.Enum):
+class LaserId(str, enum.Enum):
     """Which of the two Raman drive lasers a pulse comes from."""
 
     RED = "Red"
     BLUE = "Blue"
 
 
+# Declared field type, as the annotation text that `from __future__ import
+# annotations` leaves in Field.type -> (accepted types, what the value must be).
+_FIELD_TYPES = {
+    "float": (numbers.Real, "a number"),
+    "complex": (numbers.Complex, "a number"),
+    "float | None": ((numbers.Real, type(None)), "a number or None"),
+    "LaserId": (LaserId, "a LaserId"),
+}
+
+
 class _Checked:
     """Base of the value types: ``__post_init__`` raises ValidationError
-    unless ``violations()``, the type's list of broken invariants, is empty."""
+    unless every field has its declared type and ``violations()``, the
+    type's list of broken invariants, is empty."""
 
     def __post_init__(self):
-        if violations := self.violations():
+        wrong = [f"{f.name}: must be {_FIELD_TYPES[f.type][1]}" for f in fields(self)
+                 if f.type in _FIELD_TYPES
+                 and not isinstance(getattr(self, f.name), _FIELD_TYPES[f.type][0])]
+        if violations := wrong or self.violations():
             raise ValidationError(violations)
-
-    def _not_numbers(self, names) -> list[str]:
-        """A violation for each field in ``names`` that is not a real number."""
-        return [f"{n}: must be a number" for n in names
-                if not isinstance(getattr(self, n), numbers.Real)]
 
 
 def _param(default: float, unit: str, doc: str):
@@ -103,10 +115,6 @@ class PhysicalParams(_Checked):
 
     # -- unit helpers ----------------------------------------------------
     @property
-    def t2_spin_ps(self) -> float:
-        return self.t2_spin * 1e3
-
-    @property
     def bin_separation_ps(self) -> float:
         return self.bin_separation * 1e3
 
@@ -120,8 +128,6 @@ class PhysicalParams(_Checked):
         return n_bins * self.bin_separation_ps
 
     def violations(self) -> list[str]:
-        if v := self._not_numbers([f.name for f in fields(self)]):
-            return v
         v = [f"{f.name}: must be finite" for f in fields(self)
              if not math.isfinite(getattr(self, f.name))]
         # Scales up to 1e100 keep every drawn time, phase and energy finite.
@@ -143,9 +149,6 @@ class PhysicalParams(_Checked):
                 and self.pulse_duration >= self.bin_separation_ps:
             v.append("pulse_duration: must be shorter than bin_separation")
         return v
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhysicalParams":
@@ -176,25 +179,14 @@ class ResonantPulse(_Checked):
     detuning: float = 0.0
 
     def violations(self) -> list[str]:
-        if v := self._not_numbers(("intensity", "phase", "detuning")):
-            return v
+        v = []
         if not 0.0 <= self.intensity < math.inf:
             v.append("intensity: must be finite and >= 0")
         if not math.isfinite(self.phase):
             v.append("phase: must be finite")
-        if not isinstance(self.laser_id, LaserId):
-            v.append("laser_id: must be a LaserId")
         if not math.isfinite(self.detuning):
             v.append("detuning: must be finite")
         return v
-
-    def to_dict(self) -> dict:
-        return {
-            "intensity": self.intensity,
-            "phase": self.phase,
-            "laser_id": self.laser_id.value,
-            "detuning": self.detuning,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResonantPulse":
@@ -224,21 +216,18 @@ class PulseSequence(_Checked):
     n_bins: ClassVar[int] = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "pulses", tuple(self.pulses))
+        if isinstance(self.pulses, Sequence):
+            object.__setattr__(self, "pulses", tuple(self.pulses))
         super().__post_init__()
 
     def violations(self) -> list[str]:
+        if not isinstance(self.pulses, tuple):
+            return ["pulses: must be a sequence (early, late)"]
         if len(self.pulses) != 2:
             return [f"pulses: need two pulses (early, late), got {len(self.pulses)}"]
         if not all(isinstance(p, ResonantPulse) for p in self.pulses):
             return ["pulses: each must be a ResonantPulse"]
         return []
-
-    def to_dict(self) -> dict:
-        return {
-            "pulses": [p.to_dict() for p in self.pulses],
-            "random_interlaser_phase": self.random_interlaser_phase,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PulseSequence":

@@ -89,10 +89,6 @@ class MichelsonResult:
     def n_detected(self) -> int:
         return len(self.detections)
 
-    @property
-    def n_lost(self) -> int:
-        return self.n_input - self.n_detected
-
     def slot_counts(self) -> tuple[int, int, int]:
         """Detections in (early side, middle, late side)."""
         return tuple(int(c) for c in np.bincount(self.slots, minlength=3))

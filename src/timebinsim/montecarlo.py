@@ -34,7 +34,7 @@ import enum
 import json
 import struct
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -169,8 +169,8 @@ class EventStream:
         for name in _RECORD.names:
             rec[name] = self.columns[name]
         header = json.dumps({
-            "params": self.params.to_dict(),
-            "sequence": self.sequence.to_dict(),
+            "params": asdict(self.params),
+            "sequence": asdict(self.sequence),
             "seed": self.seed,
             "n_trajectories": self.n_trajectories,
         }, sort_keys=True).encode()

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -267,6 +268,29 @@ def test_identical_invocations_produce_identical_bytes(tmp_path, capsys):
     capsys.readouterr()
 
 
+_SUBPARSERS = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+# Small runs of every subcommand; one missing here fails its test below.
+_SMALL_RUNS = {
+    "visibility-sweep": ["--trajectories", "200", "--points", "2", "--mc-points", "0"],
+    "phase-qubits": ["--trajectories", "600", "--scan-points", "4", "--phases", "0.5"],
+    "wdm": ["--trajectories", "2000"],
+    "g2": ["--trajectories", "2000"],
+    "simulate": ["--trajectories", "10"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBPARSERS))
+def test_sidecar_options_are_every_flag_but_out_config_param_and_seed(
+        command, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main([command, *_SMALL_RUNS[command], "--out", str(out)]) == 0
+    meta = json.loads((out / f"{command}.meta.json").read_text())
+    dests = {a.dest for a in _SUBPARSERS[command]._actions} - {"help"}
+    assert set(meta["options"]) == dests - {"out", "config", "param", "seed"}
+    capsys.readouterr()
+
+
 # -- analysis subcommands --------------------------------------------------------
 
 def test_visibility_sweep_outputs(tmp_path, capsys):
@@ -334,9 +358,9 @@ def test_g2_with_calibration(tmp_path, capsys):
     assert main(["g2", "--trajectories", "3000", "--calibrate-g2", "0.05",
                  "--out", str(out)]) == 0
     meta = json.loads((out / "g2.meta.json").read_text())
-    assert meta["options"]["calibrated_background"] > 0
-    assert meta["params"]["background_rate"] == \
-        meta["options"]["calibrated_background"]
+    assert meta["options"]["calibrate_g2"] == 0.05
+    assert meta["options"]["background"] is None
+    assert meta["params"]["background_rate"] > 0  # the calibrated rate, held once
     assert "calibrated background rate" in capsys.readouterr().out
 
 

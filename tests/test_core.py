@@ -1,5 +1,6 @@
 import math
-from dataclasses import fields, replace
+import numbers
+from dataclasses import asdict, fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,18 +31,17 @@ def test_pulse_must_fit_inside_a_bin():
 
 
 def test_unit_helpers(params):
-    assert params.t2_spin_ps == 6000.0
     assert params.bin_separation_ps == 1500.0
     assert params.gamma == pytest.approx(1 / 250.0)
     assert params.window_ps(2) == 3000.0
 
 
 def test_params_dict_round_trip(params):
-    assert PhysicalParams.from_dict(params.to_dict()) == params
+    assert PhysicalParams.from_dict(asdict(params)) == params
 
 
 def test_params_from_dict_rejects_unknown_keys(params):
-    d = params.to_dict()
+    d = asdict(params)
     d["t1_radiatve"] = 250.0  # typo
     with pytest.raises(ConfigError, match="t1_radiatve"):
         PhysicalParams.from_dict(d)
@@ -68,7 +68,7 @@ def test_param_file_round_trip(tmp_path):
     params = PhysicalParams(t1_radiative=123.456, p_hole_init=0.1 + 0.2)
     path = tmp_path / "params.txt"
     path.write_text("".join(f"{name} = {value!r}  # note\n"
-                            for name, value in params.to_dict().items()))
+                            for name, value in asdict(params).items()))
     assert load_params(path) == params
 
 
@@ -89,7 +89,7 @@ def test_sequence_round_trip():
     seq = PulseSequence(pulses=(_pulse(), _pulse(LaserId.BLUE, phase=0.3)),
                         random_interlaser_phase=True)
     assert seq.n_bins == 2
-    assert PulseSequence.from_dict(seq.to_dict()) == seq
+    assert PulseSequence.from_dict(asdict(seq)) == seq
 
 
 def test_sequence_rejects_double_booking():
@@ -169,8 +169,12 @@ def test_bloch_vector_geometry():
     (PulseSequence(pulses=(_pulse(), _pulse())), "pulses", (1, 2)),
     (TimeBinState(p_early=0.5, p_late=0.5), "coherence", math.nan),
     (BlochVector(1.0, 0.0, 0.0), "x", math.nan),
+    (PulseSequence(pulses=(_pulse(), _pulse())), "pulses", None),
+    (WdmSpec(), "locked_phase", "x"),
+    (ResonantPulse(intensity=1.0), "laser_id", "Red"),
 ], ids=["params", "t1", "pulse", "sequence", "state", "bloch", "wdm", "params-str",
-        "pulse-str", "sequence-ints", "state-nan", "bloch-nan"])
+        "pulse-str", "sequence-ints", "state-nan", "bloch-nan", "sequence-none",
+        "wdm-str", "pulse-laser-str"])
 def test_invalid_values_cannot_be_constructed(valid, name, bad):
     kwargs = {f.name: getattr(valid, f.name) for f in fields(valid)}
     for build in (lambda: type(valid)(**{**kwargs, name: bad}),
@@ -178,6 +182,23 @@ def test_invalid_values_cannot_be_constructed(valid, name, bad):
         with pytest.raises(ValidationError) as err:
             build()
         assert any(name in v.split(":")[0] for v in err.value.violations)
+
+
+_ALL_SET = (PhysicalParams(), ResonantPulse(intensity=1.0),
+            PulseSequence(pulses=(_pulse(), _pulse())),
+            TimeBinState(p_early=0.5, p_late=0.5, coherence=0.1j),
+            BlochVector(1.0, 0.0, 0.0), WdmSpec(locked_phase=0.4))
+
+
+@pytest.mark.parametrize("valid,name", [
+    (valid, f.name) for valid in _ALL_SET for f in fields(valid)
+    if isinstance(getattr(valid, f.name), numbers.Number)
+    and not isinstance(getattr(valid, f.name), bool)
+], ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+def test_a_string_in_any_number_field_is_a_validation_error(valid, name):
+    with pytest.raises(ValidationError) as err:
+        replace(valid, **{name: "0.5"})
+    assert [v.split(":")[0] for v in err.value.violations] == [name]
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

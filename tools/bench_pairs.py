@@ -22,9 +22,13 @@ the change wins at least nine tenths of the pairs and the medians differ by
 more than the parent's inter-quartile range.  ``failures`` keeps every
 failed op per side, as ``{"seed", "op", "message"}`` from ``run.py``'s
 ``op K FAILED: message`` lines, so a new failure can be told from a known
-one.  One ``--trace 1`` run per
-side and workload, at the first seed, adds the per-layer metrics.  The
-record, named after the ``--out`` file, also holds ``nproc`` and the
+one.  A seed's failures fall on fixed op indices, so ``paired_failures``
+also compares them op for op: the ``(seed, op)`` that failed on both sides,
+each side's failures at ops that the other side's run of the same pair also
+reached, and each side's failed share over only those ops, which does not
+depend on how many ops each side fitted into its run.  One ``--trace 1``
+run per side and workload, at the first seed, adds the per-layer metrics.
+The record, named after the ``--out`` file, also holds ``nproc`` and the
 Python, numpy and scipy versions that the benchmark processes reported.
 
 After the benchmark runs, one tier-1 ``pytest --durations=0
@@ -92,6 +96,27 @@ def failures(lines: list[str], seed: int) -> list[dict]:
         if m:
             found.append({"seed": seed, "op": int(m.group(1)), "message": m.group(2)})
     return found
+
+
+def paired_failures(parent: list[dict], change: list[dict]) -> dict:
+    """Both sides' failed ops, compared over the ops that both reached.
+
+    ``parent`` and ``change`` are the runs of one workload in pair order,
+    each with ``attempted`` and ``failures``; op ``k`` of a run was reached
+    when ``k < attempted``.
+    """
+    common_ops = 0
+    at_common: dict[str, list[dict]] = {"parent": [], "change": []}
+    for p, c in zip(parent, change):
+        reached = min(p["attempted"], c["attempted"])
+        common_ops += reached
+        for side, run in (("parent", p), ("change", c)):
+            at_common[side] += [f for f in run["failures"] if f["op"] < reached]
+    keys = [{(f["seed"], f["op"]) for f in at_common[s]} for s in at_common]
+    return {"shared": [{"seed": s, "op": k} for s, k in sorted(keys[0] & keys[1])],
+            "at_common_ops": at_common, "common_ops": common_ops,
+            "common_failed_frac": {s: len(f) / common_ops if common_ops else 0.0
+                                   for s, f in at_common.items()}}
 
 
 def tier1_times(checkout: str) -> dict:
@@ -196,6 +221,7 @@ def main() -> int:
             "attempted_ops": {s: sum(r["attempted"] for r in runs[s]) for s in sides},
             "failed_ops": {s: sum(r["failed"] for r in runs[s]) for s in sides},
             "failures": {s: [f for r in runs[s] for f in r["failures"]] for s in sides},
+            "paired_failures": paired_failures(runs["parent"], runs["change"]),
             "correct": {s: all(r["correct"] for r in runs[s]) for s in sides},
             "metrics": {m["name"]: compare(
                 m, *[[r["metrics"][m["name"]]["value"] for r in runs[s]] for s in sides])
